@@ -140,7 +140,7 @@ def measure_overhead(sample, repeats=OVERHEAD_REPEATS, max_blocks=OVERHEAD_BLOCK
 
 
 def measure_batch_arms(sample, batch_sizes=(1, 64, 256), repeats=3, trace_every_n=100):
-    """Throughput/latency of the stage-sliced batch path per batch size.
+    """Throughput/latency of the micro-batch entry point per batch size.
 
     Runs the whole stream through :meth:`MobilityPipeline.run` with
     ``BatchOptions`` once per batch size (plus a ``record`` arm on the classic per-record
@@ -151,9 +151,11 @@ def measure_batch_arms(sample, batch_sizes=(1, 64, 256), repeats=3, trace_every_
     burst lands on every arm instead of inflating whichever arm happened
     to run during it — essential when downstream gates compare arm
     *ratios*. Latency percentiles come from the run's own
-    ``pipeline.end_to_end`` histogram (the batch path samples one
+    ``pipeline.end_to_end`` histogram (the columnar core samples one
     amortized per-record latency per batch, so the histograms stay
-    comparable across arms).
+    comparable across arms). Sizes below the pipeline's columnar
+    threshold — the ``batch1`` arm — measure the per-record loop behind
+    the batch entry point.
 
     Returns ``{arm_name: {"batch_size", "wall_s", "records_per_s",
     "p50_ms", "p95_ms", "p99_ms", "deterministic_digest"}}``; digests let
@@ -226,7 +228,7 @@ def emit_batch_table(arms):
         ])
     emit_table(
         "e2_batch",
-        "E2 (batch): stage-sliced micro-batch path vs per-record",
+        "E2 (batch): micro-batch path vs per-record",
         ["arm", "batch_size", "wall_s", "records_per_s", "p99_ms", "speedup_vs_batch1"],
         rows,
     )

@@ -66,67 +66,51 @@ def make_workload(smoke: bool):
     return spec, reports
 
 
-def run_arm(spec, reports, n_workers: int, service_s: float, batch_execute: bool = True):
+def run_arm(spec, reports, n_workers: int, service_s: float):
     """One measured run at ``n_workers``; returns ``(result, wall_s)``."""
     config = RuntimeConfig(
         n_workers=n_workers,
         checkpoint_interval=2000,
         service_time_s=service_s,
-        batch_execute=batch_execute,
     )
     started = time.perf_counter()
     result = Supervisor(spec, config).run(reports)
     return result, time.perf_counter() - started
 
 
-def collect(spec, reports, worker_counts, service_s, out_dir=RESULTS_DIR,
-            dispatch_modes=(True,)):
-    """Run every arm, emit the table + JSON, return the per-arm report.
-
-    Args:
-        dispatch_modes: Which worker dispatch paths to measure —
-            ``True`` is the micro-batch hot path (``process_batch`` per
-            dequeued queue batch), ``False`` the record-at-a-time path.
-            ``(True, False)`` benches them head-to-head per worker count.
-    """
+def collect(spec, reports, worker_counts, service_s, out_dir=RESULTS_DIR):
+    """Run every arm, emit the table + JSON, return the per-arm report."""
     rows = []
     arms = {}
     baseline_s = None
     widest = None
     for n_workers in worker_counts:
-        for batch_execute in dispatch_modes:
-            result, wall_s = run_arm(
-                spec, reports, n_workers, service_s, batch_execute=batch_execute
-            )
-            if baseline_s is None:
-                baseline_s = wall_s
-            skew = ShardRouter(n_workers).skew(reports)
-            dispatch = "batch" if batch_execute else "record"
-            rows.append([
-                n_workers,
-                dispatch,
-                result.workers_spawned,
-                result.reports_in,
-                result.reports_kept,
-                skew,
-                wall_s,
-                result.reports_in / wall_s,
-                baseline_s / wall_s,
-            ])
-            key = n_workers if dispatch_modes == (True,) else f"{n_workers}/{dispatch}"
-            arms[key] = {
-                "wall_s": wall_s,
-                "batch_execute": batch_execute,
-                "speedup_vs_1": baseline_s / wall_s,
-                "skew": skew,
-                "summary": result.summary(),
-            }
-            widest = result
+        result, wall_s = run_arm(spec, reports, n_workers, service_s)
+        if baseline_s is None:
+            baseline_s = wall_s
+        skew = ShardRouter(n_workers).skew(reports)
+        rows.append([
+            n_workers,
+            result.workers_spawned,
+            result.reports_in,
+            result.reports_kept,
+            skew,
+            wall_s,
+            result.reports_in / wall_s,
+            baseline_s / wall_s,
+        ])
+        arms[n_workers] = {
+            "wall_s": wall_s,
+            "speedup_vs_1": baseline_s / wall_s,
+            "skew": skew,
+            "summary": result.summary(),
+        }
+        widest = result
     emit_table(
         "e2b_runtime",
         "E2b (runtime): real multi-process pipeline, "
         f"{service_s * 1000.0:.1f} ms service wait per record",
-        ["workers", "dispatch", "spawned", "records", "kept", "skew",
+        ["workers", "spawned", "records", "kept", "skew",
          "wall_s", "records_per_s", "speedup_vs_1"],
         rows,
     )
@@ -145,11 +129,11 @@ def collect(spec, reports, worker_counts, service_s, out_dir=RESULTS_DIR,
 
 
 def check_invariants(rows) -> list[str]:
-    """Counts sharding/dispatch must preserve, identical across all arms."""
+    """Counts sharding must preserve, identical across all arms."""
     failures = []
-    if len({row[3] for row in rows}) != 1:
+    if len({row[2] for row in rows}) != 1:
         failures.append(f"reports_in varies across arms: {rows}")
-    if len({row[4] for row in rows}) != 1:
+    if len({row[3] for row in rows}) != 1:
         failures.append(f"reports_kept varies across arms: {rows}")
     return failures
 
@@ -177,27 +161,17 @@ def main() -> int:
         help="downstream service wait per record, in ms",
     )
     parser.add_argument("--out-dir", default=RESULTS_DIR)
-    parser.add_argument(
-        "--compare-dispatch",
-        action="store_true",
-        help="bench the micro-batch and record-at-a-time worker dispatch "
-        "paths head-to-head at every worker count",
-    )
     args = parser.parse_args()
 
     service_s = args.service_ms / 1000.0
     spec, reports = make_workload(args.smoke)
     worker_counts = (1, 2) if args.smoke else (1, 2, 4)
-    dispatch_modes = (True, False) if args.compare_dispatch else (True,)
     report, rows = collect(
-        spec, reports, worker_counts, service_s, out_dir=args.out_dir,
-        dispatch_modes=dispatch_modes,
+        spec, reports, worker_counts, service_s, out_dir=args.out_dir
     )
 
     failures = check_invariants(rows)
     top = str(worker_counts[-1])
-    if args.compare_dispatch:
-        top = f"{worker_counts[-1]}/batch"
     speedup = report["arms"][top]["speedup_vs_1"]
     gate = SMOKE_SPEEDUP_GATE if args.smoke else FULL_SPEEDUP_GATE
     print(f"\nE2b runtime speedup at {top} workers: {speedup:.2f}x (gate {gate}x)")

@@ -191,7 +191,7 @@ def run_e2_stage_share(quick: bool, repeats: int) -> dict:
 
 
 def run_e2b_runtime(quick: bool, out_dir: str) -> dict:
-    """The worker-count × dispatch arms of E2b, in the ``bench.v1`` shape."""
+    """The worker-count arms of E2b, in the ``bench.v1`` shape."""
     spec, reports = make_workload(smoke=quick)
     worker_counts = (1, 2) if quick else (1, 2, 4)
     report, rows = collect_runtime(
@@ -200,22 +200,20 @@ def run_e2b_runtime(quick: bool, out_dir: str) -> dict:
         worker_counts,
         DEFAULT_SERVICE_S,
         out_dir=out_dir,
-        dispatch_modes=(True, False),
     )
     failures = check_invariants(rows)
     if failures:
         raise AssertionError("; ".join(failures))
     arms = []
-    for key, arm in report["arms"].items():
-        workers, __, dispatch = str(key).partition("/")
+    for workers, arm in report["arms"].items():
         summary = arm["summary"]
         wall_s = arm["wall_s"]
         arms.append(
             {
-                "name": str(key),
+                "name": workers,
                 "batch_size": None,
                 "workers": int(workers),
-                "dispatch": dispatch or "batch",
+                "dispatch": "batch",
                 "records_per_s": summary["reports_in"] / wall_s if wall_s > 0 else 0.0,
                 # Per-stage latency lives in the worker registries; the
                 # runtime experiment measures wall/throughput only.

@@ -38,10 +38,6 @@ Rules (see ``docs/static-analysis.md`` for rationale and examples):
   divergence: each worker mutates its own module copy).
 - **O1** — metric and span name literals follow the dotted-lowercase
   convention of :mod:`repro.obs`.
-- **O2** — no imports of deprecated modules or calls to deprecated
-  entry points (the pre-unified-``run`` pipeline methods,
-  ``repro.streams.metrics``); each surviving caller needs a reasoned
-  suppression.
 
 Plus two engine-level hygiene rules: **S1** (a suppression comment must
 carry a reason) and **S2** (a suppression must match a finding).

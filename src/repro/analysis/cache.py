@@ -2,7 +2,7 @@
 
 The engine splits rules into two tiers:
 
-- **local** rules (D1–D3, P1, O1, O2) read one file at a time, so their
+- **local** rules (D1–D3, P1, O1) read one file at a time, so their
   raw findings are a pure function of that file's bytes and the policy.
   They are cached **per file**, keyed on the content's sha256.
 - **cross-module** rules (C1 via the class index; D4/D5/P2 via the

@@ -22,8 +22,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "AST contract linter: determinism (D1-D3), snapshot coverage "
-            "(C1), pickle safety (P1), metric naming (O1), deprecated "
-            "APIs (O2). See docs/static-analysis.md."
+            "(C1), pickle safety (P1), metric naming (O1). "
+            "See docs/static-analysis.md."
         ),
     )
     parser.add_argument(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.analysis.rules.base import Rule
 from repro.analysis.rules.contracts import SnapshotCoverageRule
-from repro.analysis.rules.deprecation import DeprecatedApiRule
 from repro.analysis.rules.determinism import (
     BuiltinHashRule,
     UnseededRngRule,
@@ -29,7 +28,6 @@ ALL_RULES: tuple[Rule, ...] = (
     PickleSafetyRule(),
     WorkerGlobalRule(),
     MetricNameRule(),
-    DeprecatedApiRule(),
 )
 
 

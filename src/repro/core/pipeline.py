@@ -22,7 +22,6 @@ import copy
 import itertools
 import math
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -36,7 +35,7 @@ from repro.cep.detectors import (
 )
 from repro.cep.simple import _METERS_PER_DEG_LAT_FLOOR, SimpleEventExtractor
 from repro.core.config import PipelineConfig
-from repro.core.recordbatch import RecordBatch, recordbatches
+from repro.core.recordbatch import RecordBatch
 from repro.core.results import canonical_bytes, digest_of
 from repro.geo.bbox import BBox
 from repro.geo.geodesy import EARTH_RADIUS_M, haversine_m_arrays
@@ -71,7 +70,7 @@ from repro.streams.replay import ReplayLog
 T = TypeVar("T")
 
 #: Below this many records the columnar path's array set-up costs more
-#: than it saves; such batches run through the stage-sliced scalar path.
+#: than it saves; such batches run through ``process_report`` per record.
 _COLUMNAR_MIN_BATCH = 16
 
 _DEG2RAD = math.pi / 180.0
@@ -304,11 +303,10 @@ class PipelineResult:
         The batch/per-record differential oracle: wall-clock, latency and
         backoff values are excluded by construction; counts, the full
         event streams and the dead-letter ledger are included. Dead
-        letters are sorted (stage-major and record-major execution park
-        them in different orders; the *set* is identical), and
-        ``simulated_backoff_s`` is deliberately absent — the two paths sum
-        the same per-retry delays in different order, which floating-point
-        addition does not preserve bit-for-bit.
+        letters are sorted (the *set* is the contract, not the order
+        execution parked them in), and ``simulated_backoff_s`` is
+        deliberately absent — a float sum over per-retry delays is not
+        bit-stable under reordering.
         """
         return {
             "reports_in": self.reports_in,
@@ -527,10 +525,8 @@ class MobilityPipeline:
             self._injector = None
         # One backoff-jitter RNG per stage (lazily seeded, stable hash of
         # (seed, stage)): the i-th retry of a given stage draws the same
-        # jitter no matter how other stages' retries interleave, which
-        # keeps record-major and stage-major (micro-batch) execution on
-        # identical draw sequences — same reason the fault injector keeps
-        # per-stage streams.
+        # jitter no matter how other stages' retries interleave — same
+        # reason the fault injector keeps per-stage streams.
         self._retry_rngs: dict[str, random.Random] = {}
         self._record_faulted = False
 
@@ -621,296 +617,66 @@ class MobilityPipeline:
         return new_complex
 
     def process_batch(self, reports: Sequence[PositionReport]) -> list[ComplexEvent]:
-        """Push a micro-batch through the pipeline, stage-sliced.
+        """Push a micro-batch through the pipeline.
 
-        Instead of running all five stages per record, the whole batch is
-        cleaned, then synopsized, then transformed/stored (one bulk
-        :meth:`ParallelRDFStore.add_documents` call), then run through
-        simple-event extraction and the detectors. Per-record span and
-        timing overhead collapses to per-batch: one clock read per stage,
-        one amortized per-record histogram sample per stage per batch.
+        Runs the columnar core when :meth:`_columnar_reason` allows it,
+        :meth:`process_report` per record otherwise — callers never pick.
 
-        Equivalence contract (enforced by the differential suite): the
-        result's :meth:`PipelineResult.deterministic_bytes` — counts,
-        event streams, dead letters, fault/retry accounting — is
-        byte-identical to feeding the same records one at a time through
-        :meth:`process_report`, for any batch size, with or without a
-        chaos config. Store *content* (decoded triples) is identical too;
-        only dictionary ids differ, because the batch path lands event
-        documents after all report documents instead of interleaved.
-        Under chaos, stage bodies run per record (stage-major order) so
-        the per-stage fault and backoff RNG streams line up with the
-        per-record path; without chaos, cleaning runs through the
-        vectorised :meth:`PlausibilityFilter.accept_batch`.
+        Equivalence contract (enforced by the differential suite):
+        :meth:`PipelineResult.deterministic_bytes` — counts, event streams,
+        dead letters, fault/retry accounting — is byte-identical to feeding
+        the same records one at a time through :meth:`process_report`, for
+        any batch size, with or without a chaos config. Store *content*
+        (decoded triples) is identical too; only dictionary ids differ,
+        because the columnar core lands event documents after all report
+        documents instead of interleaved.
 
-        Returns the new complex events, in the same order the per-record
-        path would emit them.
+        Returns the new complex events in per-record emission order.
         """
-        batch = list(reports)
-        n = len(batch)
-        if n == 0:
-            return []
-        if (
-            self._chaos is None
-            and n >= _COLUMNAR_MIN_BATCH
-            and type(self._synopses) is SynopsesGenerator
-        ):
-            # Columnar fast path: same decisions, array-at-a-time. Chaos
-            # needs per-record stage-major execution for RNG-stream
-            # alignment, and the adaptive generator re-tunes thresholds
-            # record-by-record, so both stay on the scalar stage loop.
-            return self._process_recordbatch(
-                RecordBatch.from_reports(batch, offset=self._result.reports_in)
-            )
-        result = self._result
-        obs = self._obs
-        chaos = self._chaos
-        base = result.reports_in
-        result.reports_in += n
-
-        batch_span = NULL_SPAN
-        if obs:
-            every = self._trace_every
-            # Trace the batch when the per-record path would have traced
-            # one of its records: a multiple of trace_every_n in [base, base+n).
-            if every > 0 and ((base + every - 1) // every) * every < base + n:
-                batch_span = self.metrics.span("pipeline.batch", records=n)
-            self._trace_this_record = False
-            pc = monotonic
-            buf = self._lat_buf
-            wall = self._stage_wall
-            t_batch = pc()
-            t_prev = t_batch
-
-        # dead[i]: record i exhausted a retry budget somewhere (chaos only);
-        # faulted[i]: record i failed transiently at least once.
-        dead = [False] * n
-        faulted = [False] * n
-
-        with batch_span:
-            # -- clean: dedup + plausibility over the whole batch ------------
-            if chaos is None:
-                survivors = [i for i in range(n) if self._dedup.accept(batch[i])]
-                flags = self._plausibility.accept_batch([batch[i] for i in survivors])
-                active = [i for i, ok in zip(survivors, flags) if ok]
-            else:
-                active = []
-                for i in range(n):
-                    report = batch[i]
-                    self._record_faulted = False
-                    try:
-                        ok = self._stage_call(
-                            "clean",
-                            report,
-                            lambda r=report: self._dedup.accept(r)
-                            and self._plausibility.accept(r),
-                        )
-                    except _DeadLettered:
-                        dead[i] = True
-                        continue
-                    if self._record_faulted:
-                        faulted[i] = True
-                    if ok:
-                        active.append(i)
-            result.reports_clean += len(active)
-            if obs:
-                t_now = pc()
-                buf["clean"].append((t_now - t_prev) / n)
-                wall["clean"] += t_now - t_prev
-                t_prev = t_now
-
-            # -- synopses ----------------------------------------------------
-            stage_n = len(active)
-            decisions: list[tuple[int, tuple[Any, bool]]] = []
-            if chaos is None:
-                decisions = list(
-                    zip(active, self._synopses.process_batch([batch[i] for i in active]))
-                )
-            else:
-                for i in active:
-                    report = batch[i]
-                    self._record_faulted = False
-                    try:
-                        pair = self._stage_call(
-                            "synopses", report, lambda r=report: self._synopses.process(r)
-                        )
-                    except _DeadLettered:
-                        dead[i] = True
-                        continue
-                    if self._record_faulted:
-                        faulted[i] = True
-                    decisions.append((i, pair))
-            for __, (__a, keep) in decisions:
-                if keep:
-                    result.reports_kept += 1
-            if obs:
-                t_now = pc()
-                if stage_n:
-                    buf["synopses"].append((t_now - t_prev) / stage_n)
-                wall["synopses"] += t_now - t_prev
-                t_prev = t_now
-
-            # -- rdf: transform + bulk store ---------------------------------
-            stage_n = 0
-            if self.config.persist_rdf:
-                raw = self.config.persist_raw_reports
-                interlink = self.config.interlink
-                if chaos is None:
-                    docs: list[list] = []
-                    for i, (annotated, keep) in decisions:
-                        report = batch[i]
-                        if keep:
-                            triples = self.transformer.report_to_triples(annotated)
-                            if interlink:
-                                triples.extend(
-                                    self._interlink(report, triples[0].s, doc_sink=docs)
-                                )
-                        elif raw:
-                            triples = self.transformer.report_to_triples(report)
-                        else:
-                            continue
-                        docs.append(triples)
-                        result.triples_stored += len(triples)
-                        stage_n += 1
-                    if docs:
-                        self.store.add_documents(docs)
-                else:
-                    still: list[tuple[int, tuple[Any, bool]]] = []
-                    for i, (annotated, keep) in decisions:
-                        report = batch[i]
-                        if not keep and not raw:
-                            still.append((i, (annotated, keep)))
-                            continue
-                        self._record_faulted = False
-                        try:
-                            if keep:
-                                added = self._stage_call(
-                                    "rdf",
-                                    report,
-                                    lambda a=annotated, r=report: self._store_report_doc(
-                                        a, r, interlink=interlink
-                                    ),
-                                )
-                            else:
-                                added = self._stage_call(
-                                    "rdf",
-                                    report,
-                                    lambda r=report: self._store_report_doc(
-                                        r, r, interlink=False
-                                    ),
-                                )
-                        except _DeadLettered:
-                            dead[i] = True
-                            continue
-                        if self._record_faulted:
-                            faulted[i] = True
-                        result.triples_stored += added
-                        stage_n += 1
-                        still.append((i, (annotated, keep)))
-                    decisions = still
-                if obs:
-                    t_now = pc()
-                    if stage_n:
-                        buf["rdf"].append((t_now - t_prev) / stage_n)
-                    wall["rdf"] += t_now - t_prev
-                    t_prev = t_now
-
-            # -- simple events -----------------------------------------------
-            stage_n = len(decisions)
-            per_record_events: list[tuple[int, list[SimpleEvent]]] = []
-            if chaos is None:
-                for i, __pair in decisions:
-                    events = self._extractor.process(batch[i])
-                    result.simple_events.extend(events)
-                    per_record_events.append((i, events))
-            else:
-                for i, __pair in decisions:
-                    report = batch[i]
-                    self._record_faulted = False
-                    try:
-                        events = self._stage_call(
-                            "events", report, lambda r=report: self._extractor.process(r)
-                        )
-                    except _DeadLettered:
-                        dead[i] = True
-                        continue
-                    if self._record_faulted:
-                        faulted[i] = True
-                    result.simple_events.extend(events)
-                    per_record_events.append((i, events))
-            if obs:
-                t_now = pc()
-                if stage_n:
-                    buf["events"].append((t_now - t_prev) / stage_n)
-                wall["events"] += t_now - t_prev
-                t_prev = t_now
-
-            # -- detectors + bulk event persistence --------------------------
-            stage_n = len(per_record_events)
-            out: list[ComplexEvent] = []
-            event_docs: list[list] = []
-            persist = self.config.persist_rdf
-            for i, simple_events in per_record_events:
-                report = batch[i]
-                if chaos is None:
-                    new_complex = self._run_detectors(report, simple_events)
-                else:
-                    self._record_faulted = False
-                    try:
-                        new_complex = self._stage_call(
-                            "detectors",
-                            report,
-                            lambda r=report, e=simple_events: self._run_detectors(r, e),
-                        )
-                    except _DeadLettered:
-                        dead[i] = True
-                        continue
-                    if self._record_faulted:
-                        faulted[i] = True
-                # Complex-event persistence sits outside the fault scope on
-                # the per-record path too, so bulk-landing the documents
-                # after the loop is safe under chaos as well.
-                for event in new_complex:
-                    result.complex_events.append(event)
-                    if persist:
-                        triples = self.transformer.event_to_triples(event)
-                        event_docs.append(triples)
-                        result.triples_stored += len(triples)
-                out.extend(new_complex)
-            if event_docs:
-                self.store.add_documents(event_docs)
-
-        if chaos is not None:
-            for i in range(n):
-                if faulted[i] and not dead[i]:
-                    result.records_recovered += 1
-        if obs:
-            t_now = pc()
-            if stage_n:
-                buf["detectors"].append((t_now - t_prev) / stage_n)
-            wall["detectors"] += t_now - t_prev
-            buf["end_to_end"].append((t_now - t_batch) / n)
-            wall["end_to_end"] += t_now - t_batch
-            if (base // 4096) != (result.reports_in // 4096):
-                self._flush_latency()
-        return out
+        return self._process_any(list(reports), None)
 
     def process_recordbatch(self, rb: RecordBatch) -> list[ComplexEvent]:
         """Push one columnar :class:`RecordBatch` through the pipeline.
 
-        The native entry point for sources that emit batches directly:
-        no per-record work happens until the RDF/store boundary. Falls
-        back to :meth:`process_batch` whenever the columnar path cannot
-        run (chaos config, tiny batch, adaptive synopses), so callers
-        never need to pick a path themselves.
+        The native entry point for sources that emit batches directly (no
+        per-record work before the RDF/store boundary on the columnar
+        core). Path selection and contract as in :meth:`process_batch`.
         """
-        if (
-            self._chaos is None
-            and len(rb) >= _COLUMNAR_MIN_BATCH
-            and type(self._synopses) is SynopsesGenerator
-        ):
+        return self._process_any(rb.reports, rb)
+
+    def _columnar_reason(self, n: int) -> str | None:
+        """Why an ``n``-record batch must run per record (``None``: it need not).
+
+        The one eligibility predicate of the columnar core. An armed fault
+        injector needs record-major execution so the per-stage fault and
+        backoff RNG streams line up with :meth:`process_report` (a chaos
+        config that can never fire arms nothing); tiny batches do not repay
+        the array set-up; the adaptive generator re-tunes per record.
+        """
+        if self._injector is not None:
+            return "chaos"
+        if n < _COLUMNAR_MIN_BATCH:
+            return "small_batch"
+        if type(self._synopses) is not SynopsesGenerator:
+            return "adaptive_synopses"
+        return None
+
+    def _process_any(
+        self, reports: Sequence[PositionReport], rb: RecordBatch | None
+    ) -> list[ComplexEvent]:
+        """Select the path for one batch, count the choice, run it."""
+        n = len(reports)
+        if n == 0:
+            return []
+        reason = self._columnar_reason(n)
+        if self._obs:
+            path = "columnar" if reason is None else f"scalar.{reason}"
+            self.metrics.counter(f"pipeline.path.{path}").inc()
+        if reason is None:
+            if rb is None:
+                rb = RecordBatch.from_reports(reports, offset=self._result.reports_in)
             return self._process_recordbatch(rb)
-        return self.process_batch(list(rb.reports))
+        return [event for report in reports for event in self.process_report(report)]
 
     def _process_recordbatch(self, rb: RecordBatch) -> list[ComplexEvent]:
         """Columnar core: clean, synopsize, store and detect over arrays.
@@ -937,16 +703,13 @@ class MobilityPipeline:
         result.reports_in += n
 
         batch_span = NULL_SPAN
+        t_batch = t_prev = 0.0
         if obs:
             every = self._trace_every
             if every > 0 and ((base + every - 1) // every) * every < base + n:
                 batch_span = self.metrics.span("pipeline.batch", records=n)
             self._trace_this_record = False
-            pc = monotonic
-            buf = self._lat_buf
-            wall = self._stage_wall
-            t_batch = pc()
-            t_prev = t_batch
+            t_batch = t_prev = monotonic()
 
         with batch_span:
             # -- clean: columnar dedup + plausibility ------------------------
@@ -954,516 +717,535 @@ class MobilityPipeline:
                 rb, self._dedup.accept_recordbatch(rb)
             )
             active = np.flatnonzero(mask)
-            result.reports_clean += int(active.size)
+            n_active = int(active.size)
+            result.reports_clean += n_active
             if obs:
-                t_now = pc()
-                buf["clean"].append((t_now - t_prev) / n)
-                wall["clean"] += t_now - t_prev
-                t_prev = t_now
+                t_prev = self._close_stage("clean", t_prev, n)
 
             # -- synopses: chord-walk keep/drop ------------------------------
-            stage_n = int(active.size)
             decisions = self._synopses.process_recordbatch(rb, mask)
             active_l = active.tolist()
             for p in active_l:
                 if decisions[p][1]:
                     result.reports_kept += 1
             if obs:
-                t_now = pc()
-                if stage_n:
-                    buf["synopses"].append((t_now - t_prev) / stage_n)
-                wall["synopses"] += t_now - t_prev
-                t_prev = t_now
+                t_prev = self._close_stage("synopses", t_prev, n_active)
 
             # Zone containment, one vectorized ray-cast per zone over the
             # whole batch — shared by interlinking (exact containment per
             # kept record) and the zone entry/exit guard below.
-            zones = self.zones
-            n_zones = len(zones)
-            inside_cols = (
-                [z.contains_batch(rb.lon, rb.lat) for z in zones] if n_zones else []
-            )
-
-            reports = rb.reports
+            inside_cols = [z.contains_batch(rb.lon, rb.lat) for z in self.zones]
 
             # -- rdf: transform + bulk store ---------------------------------
-            stage_n = 0
             if self.config.persist_rdf:
-                raw = self.config.persist_raw_reports
-                interlink = self.config.interlink
-                # Compiled id-level emission: the emitter (probe-verified
-                # against report_to_triples at build) assembles id triples
-                # straight from the columns — vectorized st-keys over the
-                # whole batch, interned constant/literal ids — and the
-                # store routes them by key without decoding a term. The
-                # weather interlink keeps the object path (its first-sight
-                # document logic lives in _interlink).
-                em = self._emitter if self.weather is None else None
-                if em is not None:
-                    keys = (
-                        em.st_keys(rb.lon, rb.lat, rb.t) if active_l else None
-                    )
-                    keys_l = keys.tolist() if keys is not None else None
-                    id_docs: list = []
-                    emit = em.emit_ids
-                    p_within = em.prop_within_zone_id
-                    zone_id_of = em.zone_id
-                    for p in active_l:
-                        annotated, keep = decisions[p]
-                        key = keys_l[p] if keys_l is not None else None
-                        if keep:
-                            sid, ids = emit(annotated, key)
-                            if interlink:
-                                for zi in range(n_zones):
-                                    if inside_cols[zi][p]:
-                                        ids.append(
-                                            (sid, p_within, zone_id_of(zones[zi].name))
-                                        )
-                        elif raw:
-                            sid, ids = emit(reports[p], key)
-                        else:
-                            continue
-                        id_docs.append((sid, ids, key, True))
-                        result.triples_stored += len(ids)
-                        stage_n += 1
-                    if id_docs:
-                        self.store.add_id_documents(id_docs)
-                else:
-                    docs: list[list] = []
-                    for p in active_l:
-                        annotated, keep = decisions[p]
-                        if keep:
-                            triples = self.transformer.report_to_triples(annotated)
-                            if interlink:
-                                containing = [
-                                    zones[zi]
-                                    for zi in range(n_zones)
-                                    if inside_cols[zi][p]
-                                ]
-                                triples.extend(
-                                    self._interlink(
-                                        reports[p],
-                                        triples[0].s,
-                                        doc_sink=docs,
-                                        containing=containing,
-                                    )
-                                )
-                        elif raw:
-                            triples = self.transformer.report_to_triples(reports[p])
-                        else:
-                            continue
-                        docs.append(triples)
-                        result.triples_stored += len(triples)
-                        stage_n += 1
-                    if docs:
-                        self.store.add_documents(docs)
+                stored = self._store_recordbatch(rb, active_l, decisions, inside_cols)
                 if obs:
-                    t_now = pc()
-                    if stage_n:
-                        buf["rdf"].append((t_now - t_prev) / stage_n)
-                    wall["rdf"] += t_now - t_prev
-                    t_prev = t_now
+                    t_prev = self._close_stage("rdf", t_prev, stored)
 
             # -- simple events + detectors: one guarded walk -----------------
-            ex = self._extractor
-            ex_states = ex._states
-            ex_latest = ex._latest
-            cfg = ex.config
-            gap_th = cfg.gap_threshold_s
-            stop_sp = cfg.stop_speed_mps
-            # Same two config floats, same single multiply as the scalar
-            # Schmitt trigger — the cached product is float-identical.
-            stop_hi = stop_sp * cfg.stop_hysteresis
-            prox_stale = cfg.proximity_staleness_s
-            prox_rad = cfg.proximity_radius_m
-            coll = self._collision
-            coll_latest = coll._latest
-            loit = self._loitering
-            rdv = self._rendezvous
-            rdv_pairs = rdv._pair_since
-            cap = self._capacity
-            hot = self._hotspots
-            persist = self.config.persist_rdf
-
-            codes_l = rb.entity_codes.tolist()
-            t_l = rb.t.tolist()
-            vocab = rb.vocabulary
-            n_codes = len(vocab)
-
-            # Anomaly ceiling per entity: the identical `max_speed *
-            # factor` product the scalar check computes, one registry
-            # lookup per entity instead of one per record.
-            if ex.registry is not None:
-                factor = cfg.speed_anomaly_factor
-                ceilings: list[float | None] = []
-                for eid in vocab:
-                    ent = ex.registry.get_or_none(eid)
-                    ceilings.append(
-                        None if ent is None else ent.max_speed_mps * factor
-                    )
-            else:
-                ceilings = [None] * n_codes
-
-            # Which records *must* run a scalar component, decided
+            # Which records *must* run a scalar component is decided
             # entirely up front with vectorized exact-or-conservative
             # guards: `ex_int` (simple-event extraction) and `coll_int`
             # (collision pair checks). Everything else provably emits
             # nothing and only advances per-entity latest state, applied
-            # lazily through `pending`.
-            ex_int = np.zeros(n, dtype=bool)
+            # lazily by the walk.
+            ex_int, loit_map = self._segment_guards(rb, mask, inside_cols)
+            prox_may, coll_may = self._pair_guards(rb, active)
+            ex_int[active] |= prox_may
             coll_int = np.zeros(n, dtype=bool)
-            # Loitering is strictly per-entity (window, refractory and
-            # block state are all keyed by entity), so it runs bulk per
-            # segment here; events come back tagged with the position
-            # that raised them and are re-interleaved by the walk below
-            # in exact per-record order.
-            loit_map: dict[int, ComplexEvent] = {}
-
-            # Zone entry/exit + gap + stop + anomaly guards, per segment.
-            for code, eid, seg in rb.segments():
-                pos = seg[mask[seg]]
-                m = pos.size
-                if m == 0:
-                    continue
-                t_seg = rb.t[pos]
-                spd_seg = rb.speed[pos]
-                loit_hits = loit.process_positions(
-                    eid,
-                    t_seg.tolist(),
-                    rb.lon[pos].tolist(),
-                    rb.lat[pos].tolist(),
-                )
-                if loit_hits:
-                    pos_l = pos.tolist()
-                    for k, levent in loit_hits:
-                        loit_map[pos_l[k]] = levent
-                st = ex_states.get(eid)
-                has_prev = st is not None and st.last is not None
-                # Zone guard: membership of each zone evolves only at
-                # containment transitions along the entity's active
-                # records (seeded from pre-batch state.zones), so exactly
-                # the transition records can emit zone events or mutate
-                # state.zones.
-                if n_zones:
-                    member = st.zones if st is not None else ()
-                    for zi in range(n_zones):
-                        vals = inside_cols[zi][pos]
-                        if bool(vals[0]) != (zones[zi].name in member):
-                            ex_int[pos[0]] = True
-                        if m > 1:
-                            hits = pos[1:][vals[1:] != vals[:-1]]
-                            if hits.size:
-                                ex_int[hits] = True
-                # Gap guard: exact — same float subtraction and compare.
-                flag = np.zeros(m, dtype=bool)
-                if m > 1:
-                    flag[1:] = (t_seg[1:] - t_seg[:-1]) > gap_th
-                if has_prev:
-                    flag[0] = (t_seg[0] - st.last.t) > gap_th
-                # Anomaly guard: exact vector replica of the scalar
-                # compare (NaN speeds compare False, like `is None`).
-                ceiling = ceilings[code]
-                if ceiling is not None:
-                    flag |= spd_seg > ceiling
-                # Stop guard: simulate the Schmitt trigger exactly. With
-                # real speeds the stop state toggles *only* on records
-                # this marks, so the simulated state stays in lockstep
-                # with the scalar path. A NaN speed (derived distance/dt
-                # speed, unknown here) is marked whenever a previous
-                # report exists and degrades the simulation to a
-                # conservative superset: while the state is unknown,
-                # every record that could toggle either way is marked.
-                sim = st.stopped if st is not None else False
-                unknown = False
-                stop_idx = []
-                for k, s in enumerate(spd_seg.tolist()):
-                    if s != s:
-                        if k > 0 or has_prev:
-                            stop_idx.append(k)
-                            unknown = True
-                        continue
-                    if unknown:
-                        if s < stop_sp or s >= stop_hi:
-                            stop_idx.append(k)
-                    elif sim:
-                        if s >= stop_hi:
-                            stop_idx.append(k)
-                            sim = False
-                    elif s < stop_sp:
-                        stop_idx.append(k)
-                        sim = True
-                if stop_idx:
-                    flag[stop_idx] = True
-                ex_int[pos[flag]] = True
-
-            # Proximity and collision guards: one as-of pair join over
-            # the active records. For each record and each other entity,
-            # the other's position "as of" that record is its latest
-            # earlier active record in the batch, or its pre-batch
-            # latest-map entry. The masks replicate the freshness +
-            # latitude-band prefilters of `_proximity_events` /
-            # `_candidates` exactly (same floats, same IEEE compares),
-            # band the exact-distance cut by 1e-9 relative (vector vs
-            # scalar haversine ulp spread), and — for collision — add a
-            # conservative vectorized CPA/TCPA pre-check with metre/
-            # millisecond margins. A record left unmasked provably takes
-            # no event-emitting branch.
-            A = active
-            nA = len(active_l)
-            codesA = rb.entity_codes[A]
-            tA = rb.t[A]
-            latA = rb.lat[A]
-            lonA = rb.lon[A]
-            spdA = rb.speed[A]
-            hdgA = rb.heading[A]
-            kinA = ~(np.isnan(spdA) | np.isnan(hdgA))
-            # All-None current altitudes force the scalar CPA 2-D and its
-            # fire condition to the maritime branch (see _cpa_may_fire).
-            use_cpa = bool(np.isnan(rb.alt).all())
-            batch_ids = frozenset(vocab)
-            coll_stale = coll.staleness_s
-            coll_rad = coll.candidate_radius_m
-            cpa_thr = coll.cpa_threshold_m
-            tcpa_thr = coll.tcpa_threshold_s
-            prox_may = np.zeros(nA, dtype=bool)
-            coll_may = np.zeros(nA, dtype=bool)
-            # One 2-D as-of join for every code at once: src2[c, i] is
-            # the latest active row of code c at or before row i (-1 when
-            # none). A row's own code resolves to itself and is masked by
-            # `notself2`, so everywhere the join is consumed src2 points
-            # at a *strictly earlier* row — exactly the per-code
-            # searchsorted join this replaces, at ~n_codes fewer numpy
-            # dispatches per batch. Distances and the CPA pre-check run
-            # on the candidate pairs only; the 1e-9 bands already absorb
-            # elementwise-kernel ulp spread, which covers subset-vs-full
-            # evaluation too.
-            idx_row = np.arange(nA)
-            eye = codesA[None, :] == np.arange(n_codes)[:, None]
-            src2 = np.maximum.accumulate(np.where(eye, idx_row[None, :], -1), axis=1)
-            has2 = src2 >= 0
-            notself2 = ~eye
-            # Pre-batch fallback columns per code. An entity can be in
-            # the batch vocabulary with zero *active* rows (every record
-            # masked, e.g. dropped as out-of-order on re-ingest); its
-            # join column is then all-fallback. -inf timestamps make the
-            # staleness check unsatisfiable where no state exists.
-            fp_t = np.full(n_codes, -np.inf)
-            fp_lat = np.zeros(n_codes)
-            fp_lon = np.zeros(n_codes)
-            fc_t = np.full(n_codes, -np.inf)
-            fc_lat = np.zeros(n_codes)
-            fc_lon = np.zeros(n_codes)
-            fc_spd = np.zeros(n_codes)
-            fc_hdg = np.zeros(n_codes)
-            fc_kin = np.zeros(n_codes, dtype=bool)
-            for c2, eid2 in enumerate(vocab):
-                o = ex_latest.get(eid2)
-                if o is not None:
-                    fp_t[c2] = o.t
-                    fp_lat[c2] = o.lat
-                    fp_lon[c2] = o.lon
-                oc = coll_latest.get(eid2)
-                if oc is not None and oc.speed is not None and oc.heading is not None:
-                    fc_t[c2] = oc.t
-                    fc_lat[c2] = oc.lat
-                    fc_lon[c2] = oc.lon
-                    fc_spd[c2] = oc.speed
-                    fc_hdg[c2] = oc.heading
-                    fc_kin[c2] = True
-            # src2 == -1 wraps to the last row under fancy indexing —
-            # harmless, np.where discards it where has2 is False.
-            t_src = tA[src2]
-            lat_src = latA[src2]
-            T2 = np.where(has2, t_src, fp_t[:, None])
-            LAT2 = np.where(has2, lat_src, fp_lat[:, None])
-            cand = (
-                notself2
-                & ((tA[None, :] - T2) <= prox_stale)
-                & (np.abs(latA[None, :] - LAT2) * _METERS_PER_DEG_LAT_FLOOR <= prox_rad)
+            coll_int[active] = coll_may
+            out = self._guarded_walk(
+                rb, active_l, ex_int.tolist(), coll_int.tolist(), loit_map
             )
-            if cand.any():
-                rows, cols = np.nonzero(cand)
-                hs = has2[rows, cols]
-                ss = src2[rows, cols]
-                d = haversine_m_arrays(
-                    lonA[cols],
-                    latA[cols],
-                    np.where(hs, lonA[ss], fp_lon[rows]),
-                    LAT2[rows, cols],
-                )
-                hit = d <= prox_rad * (1.0 + 1e-9)
-                if hit.any():
-                    prox_may[cols[hit]] = True
-            T2 = np.where(has2, t_src, fc_t[:, None])
-            LAT2 = np.where(has2, lat_src, fc_lat[:, None])
-            KIN2 = np.where(has2, kinA[src2], fc_kin[:, None])
-            cand = (
-                notself2
-                & kinA[None, :]
-                & KIN2
-                & ((tA[None, :] - T2) <= coll_stale)
-                & (np.abs(latA[None, :] - LAT2) * _METERS_PER_DEG_LAT_FLOOR <= coll_rad)
-            )
-            if cand.any():
-                rows, cols = np.nonzero(cand)
-                hs = has2[rows, cols]
-                ss = src2[rows, cols]
-                LON2 = np.where(hs, lonA[ss], fc_lon[rows])
-                LAT2s = LAT2[rows, cols]
-                d = haversine_m_arrays(lonA[cols], latA[cols], LON2, LAT2s)
-                near = d <= coll_rad * (1.0 + 1e-9)
-                if use_cpa and near.any():
-                    rows = rows[near]
-                    cols = cols[near]
-                    hs = hs[near]
-                    ss = ss[near]
-                    fire = _cpa_may_fire(
-                        lonA[cols], latA[cols], spdA[cols], hdgA[cols],
-                        LON2[near], LAT2s[near],
-                        np.where(hs, spdA[ss], fc_spd[rows]),
-                        np.where(hs, hdgA[ss], fc_hdg[rows]),
-                        cpa_thr, tcpa_thr,
-                    )
-                    coll_may[cols[fire]] = True
-                elif not use_cpa:
-                    coll_may[cols[near]] = True
-            # Latest-map entries outside the batch are frozen during it:
-            # one constant column each.
-            for oid, o in ex_latest.items():
-                if oid in batch_ids:
-                    continue
-                cand = ((tA - o.t) <= prox_stale) & (
-                    np.abs(latA - o.lat) * _METERS_PER_DEG_LAT_FLOOR <= prox_rad
-                )
-                if cand.any():
-                    d = haversine_m_arrays(lonA, latA, o.lon, o.lat)
-                    prox_may |= cand & (d <= prox_rad * (1.0 + 1e-9))
-            for oid, o in coll_latest.items():
-                if oid in batch_ids or o.speed is None or o.heading is None:
-                    continue
-                cand = (
-                    kinA
-                    & ((tA - o.t) <= coll_stale)
-                    & (np.abs(latA - o.lat) * _METERS_PER_DEG_LAT_FLOOR <= coll_rad)
-                )
-                if cand.any():
-                    d = haversine_m_arrays(lonA, latA, o.lon, o.lat)
-                    cand &= d <= coll_rad * (1.0 + 1e-9)
-                    if use_cpa and cand.any():
-                        cand &= _cpa_may_fire(
-                            lonA, latA, spdA, hdgA,
-                            o.lon, o.lat, o.speed, o.heading,
-                            cpa_thr, tcpa_thr,
-                        )
-                    coll_may |= cand
-            ex_int[A] |= prox_may
-            coll_int[A] = coll_may
-            ex_l = ex_int.tolist()
-            coll_l = coll_int.tolist()
-
-            stage_n = nA
-            out: list[ComplexEvent] = []
-            event_docs: list[list] = []
-            # Latest unsynced record per code. Flushed (in first-
-            # appearance order, preserving dict insertion order of new
-            # entities) before every scalar component call and at batch
-            # end; a flush is the exact state residue of the scalar call
-            # for a no-event record, and re-flushing after a scalar call
-            # is idempotent.
-            pending: dict[int, int] = {}
-
-            def _flush_pending() -> None:
-                for c2, p2 in pending.items():
-                    r2 = reports[p2]
-                    eid2 = r2.entity_id
-                    st2 = ex_states.get(eid2)
-                    if st2 is None:
-                        ex.advance_quiet(r2)
-                    else:
-                        st2.last = r2
-                        ex_latest[eid2] = r2
-                    coll_latest[eid2] = r2
-                pending.clear()
-
-            loit_get = loit_map.get
-            rdv_process = rdv.process
-            rdv_tick = rdv.tick
-            for p in active_l:
-                r = reports[p]
-                if ex_l[p]:
-                    if pending:
-                        _flush_pending()
-                    events = ex.process(r)
-                    result.simple_events.extend(events)
-                else:
-                    events = ()
-                if coll_l[p]:
-                    if pending:
-                        _flush_pending()
-                    cev = coll.process(r)
-                else:
-                    cev = ()
-                pending[codes_l[p]] = p
-
-                # --- remaining detectors, in _run_detectors order -------
-                new_complex = list(cev) if cev else None
-                lev = loit_get(p)
-                if lev is not None:
-                    if new_complex is None:
-                        new_complex = [lev]
-                    else:
-                        new_complex.append(lev)
-                if events:
-                    if new_complex is None:
-                        new_complex = []
-                    for event in events:
-                        new_complex.extend(rdv_process(event))
-                    new_complex.extend(rdv_tick(t_l[p]))
-                elif rdv_pairs:
-                    # tick() with no co-stopped pairs is a pure no-op.
-                    ticked = rdv_tick(t_l[p])
-                    if ticked:
-                        if new_complex is None:
-                            new_complex = ticked
-                        else:
-                            new_complex.extend(ticked)
-                if cap is not None:
-                    if new_complex is None:
-                        new_complex = []
-                    new_complex.extend(cap.process(r))
-                if hot is not None:
-                    if new_complex is None:
-                        new_complex = []
-                    new_complex.extend(hot.process(r))
-                if new_complex:
-                    if obs:
-                        # Created lazily, exactly like _run_detectors: a
-                        # run with no complex events never registers it.
-                        self.metrics.counter("cep.complex_events").inc(
-                            len(new_complex)
-                        )
-                    for event in new_complex:
-                        result.complex_events.append(event)
-                        if persist:
-                            triples = self.transformer.event_to_triples(event)
-                            event_docs.append(triples)
-                            result.triples_stored += len(triples)
-                    out.extend(new_complex)
-
-            if pending:
-                _flush_pending()
-            if event_docs:
-                self.store.add_documents(event_docs)
 
         if obs:
-            t_now = pc()
-            if stage_n:
-                buf["detectors"].append((t_now - t_prev) / stage_n)
-            wall["detectors"] += t_now - t_prev
-            buf["end_to_end"].append((t_now - t_batch) / n)
-            wall["end_to_end"] += t_now - t_batch
+            t_now = self._close_stage("detectors", t_prev, n_active)
+            self._lat_buf["end_to_end"].append((t_now - t_batch) / n)
+            self._stage_wall["end_to_end"] += t_now - t_batch
             if (base // 4096) != (result.reports_in // 4096):
                 self._flush_latency()
+        return out
+
+    def _close_stage(self, stage: str, t_prev: float, per: int) -> float:
+        """Charge ``stage`` the time since ``t_prev`` (one latency sample,
+        amortized over ``per`` records); returns the clock read taken."""
+        t_now = monotonic()
+        if per:
+            self._lat_buf[stage].append((t_now - t_prev) / per)
+        self._stage_wall[stage] += t_now - t_prev
+        return t_now
+
+    def _store_recordbatch(
+        self, rb: RecordBatch, active_l: list[int], decisions: list, inside_cols: list
+    ) -> int:
+        """Columnar rdf stage: transform + bulk store; returns documents landed."""
+        result = self._result
+        reports = rb.reports
+        zones = self.zones
+        n_zones = len(zones)
+        stage_n = 0
+        raw = self.config.persist_raw_reports
+        interlink = self.config.interlink
+        # Compiled id-level emission: the emitter (probe-verified
+        # against report_to_triples at build) assembles id triples
+        # straight from the columns — vectorized st-keys over the
+        # whole batch, interned constant/literal ids — and the
+        # store routes them by key without decoding a term. The
+        # weather interlink keeps the object path (its first-sight
+        # document logic lives in _interlink).
+        em = self._emitter if self.weather is None else None
+        if em is not None:
+            keys_l = em.st_keys(rb.lon, rb.lat, rb.t).tolist() if active_l else []
+            id_docs: list = []
+            emit = em.emit_ids
+            p_within = em.prop_within_zone_id
+            zone_id_of = em.zone_id
+            for p in active_l:
+                annotated, keep = decisions[p]
+                key = keys_l[p]
+                if keep:
+                    sid, ids = emit(annotated, key)
+                    if interlink:
+                        for zi in range(n_zones):
+                            if inside_cols[zi][p]:
+                                ids.append((sid, p_within, zone_id_of(zones[zi].name)))
+                elif raw:
+                    sid, ids = emit(reports[p], key)
+                else:
+                    continue
+                id_docs.append((sid, ids, key, True))
+                result.triples_stored += len(ids)
+                stage_n += 1
+            if id_docs:
+                self.store.add_id_documents(id_docs)
+        else:
+            docs: list[list] = []
+            for p in active_l:
+                annotated, keep = decisions[p]
+                if keep:
+                    triples = self.transformer.report_to_triples(annotated)
+                    if interlink:
+                        inside = [
+                            zones[zi] for zi in range(n_zones) if inside_cols[zi][p]
+                        ]
+                        triples.extend(
+                            self._interlink(
+                                reports[p], triples[0].s, doc_sink=docs, containing=inside
+                            )
+                        )
+                elif raw:
+                    triples = self.transformer.report_to_triples(reports[p])
+                else:
+                    continue
+                docs.append(triples)
+                result.triples_stored += len(triples)
+                stage_n += 1
+            if docs:
+                self.store.add_documents(docs)
+        return stage_n
+
+    def _segment_guards(
+        self, rb: RecordBatch, mask: np.ndarray, inside_cols: list
+    ) -> tuple[np.ndarray, dict[int, ComplexEvent]]:
+        """Per-segment guards: the positions that must replay through the
+        scalar extractor, and loitering events by the position raising them."""
+        ex = self._extractor
+        ex_states = ex._states
+        cfg = ex.config
+        gap_th = cfg.gap_threshold_s
+        stop_sp = cfg.stop_speed_mps
+        # Same two config floats, same single multiply as the scalar
+        # Schmitt trigger — the cached product is float-identical.
+        stop_hi = stop_sp * cfg.stop_hysteresis
+        loit = self._loitering
+        zones = self.zones
+        n_zones = len(zones)
+        vocab = rb.vocabulary
+
+        # Anomaly ceiling per entity: the identical `max_speed *
+        # factor` product the scalar check computes, one registry
+        # lookup per entity instead of one per record.
+        if ex.registry is not None:
+            factor = cfg.speed_anomaly_factor
+            ceilings: list[float | None] = []
+            for eid in vocab:
+                ent = ex.registry.get_or_none(eid)
+                ceilings.append(None if ent is None else ent.max_speed_mps * factor)
+        else:
+            ceilings = [None] * len(vocab)
+
+        ex_int = np.zeros(len(rb), dtype=bool)
+        # Loitering is strictly per-entity (window, refractory and
+        # block state are all keyed by entity), so it runs bulk per
+        # segment here; events come back tagged with the position
+        # that raised them and are re-interleaved by the walk below
+        # in exact per-record order.
+        loit_map: dict[int, ComplexEvent] = {}
+
+        # Zone entry/exit + gap + stop + anomaly guards, per segment.
+        for code, eid, seg in rb.segments():
+            pos = seg[mask[seg]]
+            m = pos.size
+            if m == 0:
+                continue
+            t_seg = rb.t[pos]
+            spd_seg = rb.speed[pos]
+            loit_hits = loit.process_positions(
+                eid, t_seg.tolist(), rb.lon[pos].tolist(), rb.lat[pos].tolist()
+            )
+            if loit_hits:
+                pos_l = pos.tolist()
+                for k, levent in loit_hits:
+                    loit_map[pos_l[k]] = levent
+            st = ex_states.get(eid)
+            has_prev = st is not None and st.last is not None
+            # Zone guard: membership of each zone evolves only at
+            # containment transitions along the entity's active
+            # records (seeded from pre-batch state.zones), so exactly
+            # the transition records can emit zone events or mutate
+            # state.zones.
+            if n_zones:
+                member = st.zones if st is not None else ()
+                for zi in range(n_zones):
+                    vals = inside_cols[zi][pos]
+                    if bool(vals[0]) != (zones[zi].name in member):
+                        ex_int[pos[0]] = True
+                    if m > 1:
+                        hits = pos[1:][vals[1:] != vals[:-1]]
+                        if hits.size:
+                            ex_int[hits] = True
+            # Gap guard: exact — same float subtraction and compare.
+            flag = np.zeros(m, dtype=bool)
+            if m > 1:
+                flag[1:] = (t_seg[1:] - t_seg[:-1]) > gap_th
+            if has_prev:
+                flag[0] = (t_seg[0] - st.last.t) > gap_th
+            # Anomaly guard: exact vector replica of the scalar
+            # compare (NaN speeds compare False, like `is None`).
+            ceiling = ceilings[code]
+            if ceiling is not None:
+                flag |= spd_seg > ceiling
+            # Stop guard: simulate the Schmitt trigger exactly. With
+            # real speeds the stop state toggles *only* on records
+            # this marks, so the simulated state stays in lockstep
+            # with the scalar path. A NaN speed (derived distance/dt
+            # speed, unknown here) is marked whenever a previous
+            # report exists and degrades the simulation to a
+            # conservative superset: while the state is unknown,
+            # every record that could toggle either way is marked.
+            sim = st.stopped if st is not None else False
+            unknown = False
+            stop_idx = []
+            for k, s in enumerate(spd_seg.tolist()):
+                if s != s:
+                    if k > 0 or has_prev:
+                        stop_idx.append(k)
+                        unknown = True
+                    continue
+                if unknown:
+                    if s < stop_sp or s >= stop_hi:
+                        stop_idx.append(k)
+                elif sim:
+                    if s >= stop_hi:
+                        stop_idx.append(k)
+                        sim = False
+                elif s < stop_sp:
+                    stop_idx.append(k)
+                    sim = True
+            if stop_idx:
+                flag[stop_idx] = True
+            ex_int[pos[flag]] = True
+        return ex_int, loit_map
+
+    def _pair_guards(
+        self, rb: RecordBatch, active: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Pairwise guards, as masks aligned with ``active``: rows that may
+        emit a proximity event, rows that may fire the collision detector."""
+        ex_latest = self._extractor._latest
+        cfg = self._extractor.config
+        prox_stale = cfg.proximity_staleness_s
+        prox_rad = cfg.proximity_radius_m
+        coll = self._collision
+        coll_latest = coll._latest
+        vocab = rb.vocabulary
+        n_codes = len(vocab)
+
+        # Proximity and collision guards: one as-of pair join over
+        # the active records. For each record and each other entity,
+        # the other's position "as of" that record is its latest
+        # earlier active record in the batch, or its pre-batch
+        # latest-map entry. The masks replicate the freshness +
+        # latitude-band prefilters of `_proximity_events` /
+        # `_candidates` exactly (same floats, same IEEE compares),
+        # band the exact-distance cut by 1e-9 relative (vector vs
+        # scalar haversine ulp spread), and — for collision — add a
+        # conservative vectorized CPA/TCPA pre-check with metre/
+        # millisecond margins. A record left unmasked provably takes
+        # no event-emitting branch.
+        A = active
+        nA = int(active.size)
+        codesA = rb.entity_codes[A]
+        tA = rb.t[A]
+        latA = rb.lat[A]
+        lonA = rb.lon[A]
+        spdA = rb.speed[A]
+        hdgA = rb.heading[A]
+        kinA = ~(np.isnan(spdA) | np.isnan(hdgA))
+        # All-None current altitudes force the scalar CPA 2-D and its
+        # fire condition to the maritime branch (see _cpa_may_fire).
+        use_cpa = bool(np.isnan(rb.alt).all())
+        batch_ids = frozenset(vocab)
+        coll_stale = coll.staleness_s
+        coll_rad = coll.candidate_radius_m
+        cpa_thr = coll.cpa_threshold_m
+        tcpa_thr = coll.tcpa_threshold_s
+        prox_may = np.zeros(nA, dtype=bool)
+        coll_may = np.zeros(nA, dtype=bool)
+        # One 2-D as-of join for every code at once: src2[c, i] is
+        # the latest active row of code c at or before row i (-1 when
+        # none). A row's own code resolves to itself and is masked by
+        # `notself2`, so everywhere the join is consumed src2 points
+        # at a *strictly earlier* row — exactly the per-code
+        # searchsorted join this replaces, at ~n_codes fewer numpy
+        # dispatches per batch. Distances and the CPA pre-check run
+        # on the candidate pairs only; the 1e-9 bands already absorb
+        # elementwise-kernel ulp spread, which covers subset-vs-full
+        # evaluation too.
+        idx_row = np.arange(nA)
+        eye = codesA[None, :] == np.arange(n_codes)[:, None]
+        src2 = np.maximum.accumulate(np.where(eye, idx_row[None, :], -1), axis=1)
+        has2 = src2 >= 0
+        notself2 = ~eye
+        # Pre-batch fallback columns per code. An entity can be in
+        # the batch vocabulary with zero *active* rows (every record
+        # masked, e.g. dropped as out-of-order on re-ingest); its
+        # join column is then all-fallback. -inf timestamps make the
+        # staleness check unsatisfiable where no state exists.
+        fp_t = np.full(n_codes, -np.inf)
+        fp_lat = np.zeros(n_codes)
+        fp_lon = np.zeros(n_codes)
+        fc_t = np.full(n_codes, -np.inf)
+        fc_lat = np.zeros(n_codes)
+        fc_lon = np.zeros(n_codes)
+        fc_spd = np.zeros(n_codes)
+        fc_hdg = np.zeros(n_codes)
+        fc_kin = np.zeros(n_codes, dtype=bool)
+        for c2, eid2 in enumerate(vocab):
+            o = ex_latest.get(eid2)
+            if o is not None:
+                fp_t[c2] = o.t
+                fp_lat[c2] = o.lat
+                fp_lon[c2] = o.lon
+            oc = coll_latest.get(eid2)
+            if oc is not None and oc.speed is not None and oc.heading is not None:
+                fc_t[c2] = oc.t
+                fc_lat[c2] = oc.lat
+                fc_lon[c2] = oc.lon
+                fc_spd[c2] = oc.speed
+                fc_hdg[c2] = oc.heading
+                fc_kin[c2] = True
+        # src2 == -1 wraps to the last row under fancy indexing —
+        # harmless, np.where discards it where has2 is False.
+        t_src = tA[src2]
+        lat_src = latA[src2]
+        T2 = np.where(has2, t_src, fp_t[:, None])
+        LAT2 = np.where(has2, lat_src, fp_lat[:, None])
+        cand = (
+            notself2
+            & ((tA[None, :] - T2) <= prox_stale)
+            & (np.abs(latA[None, :] - LAT2) * _METERS_PER_DEG_LAT_FLOOR <= prox_rad)
+        )
+        if cand.any():
+            rows, cols = np.nonzero(cand)
+            hs = has2[rows, cols]
+            ss = src2[rows, cols]
+            d = haversine_m_arrays(
+                lonA[cols],
+                latA[cols],
+                np.where(hs, lonA[ss], fp_lon[rows]),
+                LAT2[rows, cols],
+            )
+            hit = d <= prox_rad * (1.0 + 1e-9)
+            if hit.any():
+                prox_may[cols[hit]] = True
+        T2 = np.where(has2, t_src, fc_t[:, None])
+        LAT2 = np.where(has2, lat_src, fc_lat[:, None])
+        KIN2 = np.where(has2, kinA[src2], fc_kin[:, None])
+        cand = (
+            notself2
+            & kinA[None, :]
+            & KIN2
+            & ((tA[None, :] - T2) <= coll_stale)
+            & (np.abs(latA[None, :] - LAT2) * _METERS_PER_DEG_LAT_FLOOR <= coll_rad)
+        )
+        if cand.any():
+            rows, cols = np.nonzero(cand)
+            hs = has2[rows, cols]
+            ss = src2[rows, cols]
+            LON2 = np.where(hs, lonA[ss], fc_lon[rows])
+            LAT2s = LAT2[rows, cols]
+            d = haversine_m_arrays(lonA[cols], latA[cols], LON2, LAT2s)
+            near = d <= coll_rad * (1.0 + 1e-9)
+            if use_cpa and near.any():
+                rows = rows[near]
+                cols = cols[near]
+                hs = hs[near]
+                ss = ss[near]
+                fire = _cpa_may_fire(
+                    lonA[cols], latA[cols], spdA[cols], hdgA[cols],
+                    LON2[near], LAT2s[near],
+                    np.where(hs, spdA[ss], fc_spd[rows]),
+                    np.where(hs, hdgA[ss], fc_hdg[rows]),
+                    cpa_thr, tcpa_thr,
+                )
+                coll_may[cols[fire]] = True
+            elif not use_cpa:
+                coll_may[cols[near]] = True
+        # Latest-map entries outside the batch are frozen during it:
+        # one constant column each.
+        for oid, o in ex_latest.items():
+            if oid in batch_ids:
+                continue
+            cand = ((tA - o.t) <= prox_stale) & (
+                np.abs(latA - o.lat) * _METERS_PER_DEG_LAT_FLOOR <= prox_rad
+            )
+            if cand.any():
+                d = haversine_m_arrays(lonA, latA, o.lon, o.lat)
+                prox_may |= cand & (d <= prox_rad * (1.0 + 1e-9))
+        for oid, o in coll_latest.items():
+            if oid in batch_ids or o.speed is None or o.heading is None:
+                continue
+            cand = (
+                kinA
+                & ((tA - o.t) <= coll_stale)
+                & (np.abs(latA - o.lat) * _METERS_PER_DEG_LAT_FLOOR <= coll_rad)
+            )
+            if cand.any():
+                d = haversine_m_arrays(lonA, latA, o.lon, o.lat)
+                cand &= d <= coll_rad * (1.0 + 1e-9)
+                if use_cpa and cand.any():
+                    cand &= _cpa_may_fire(
+                        lonA, latA, spdA, hdgA,
+                        o.lon, o.lat, o.speed, o.heading,
+                        cpa_thr, tcpa_thr,
+                    )
+                coll_may |= cand
+        return prox_may, coll_may
+
+    def _guarded_walk(
+        self, rb: RecordBatch, active_l: list[int], ex_l: list[bool],
+        coll_l: list[bool], loit_map: dict[int, ComplexEvent],
+    ) -> list[ComplexEvent]:
+        """Fused simple-event + detector walk over the active records:
+        guard-flagged ones call the scalar extractor / collision detector,
+        the rest advance per-entity latest state lazily."""
+        result = self._result
+        obs = self._obs
+        reports = rb.reports
+        ex = self._extractor
+        ex_states = ex._states
+        ex_latest = ex._latest
+        coll = self._collision
+        coll_latest = coll._latest
+        rdv = self._rendezvous
+        rdv_pairs = rdv._pair_since
+        cap = self._capacity
+        hot = self._hotspots
+        persist = self.config.persist_rdf
+        codes_l = rb.entity_codes.tolist()
+        t_l = rb.t.tolist()
+
+        out: list[ComplexEvent] = []
+        event_docs: list[list] = []
+        # Latest unsynced record per code. Flushed (in first-
+        # appearance order, preserving dict insertion order of new
+        # entities) before every scalar component call and at batch
+        # end; a flush is the exact state residue of the scalar call
+        # for a no-event record, and re-flushing after a scalar call
+        # is idempotent.
+        pending: dict[int, int] = {}
+
+        def _flush_pending() -> None:
+            for c2, p2 in pending.items():
+                r2 = reports[p2]
+                eid2 = r2.entity_id
+                st2 = ex_states.get(eid2)
+                if st2 is None:
+                    ex.advance_quiet(r2)
+                else:
+                    st2.last = r2
+                    ex_latest[eid2] = r2
+                coll_latest[eid2] = r2
+            pending.clear()
+
+        loit_get = loit_map.get
+        rdv_process = rdv.process
+        rdv_tick = rdv.tick
+        for p in active_l:
+            r = reports[p]
+            if ex_l[p]:
+                if pending:
+                    _flush_pending()
+                events = ex.process(r)
+                result.simple_events.extend(events)
+            else:
+                events = ()
+            if coll_l[p]:
+                if pending:
+                    _flush_pending()
+                cev = coll.process(r)
+            else:
+                cev = ()
+            pending[codes_l[p]] = p
+
+            # --- remaining detectors, in _run_detectors order -------
+            new_complex = list(cev) if cev else None
+            lev = loit_get(p)
+            if lev is not None:
+                if new_complex is None:
+                    new_complex = [lev]
+                else:
+                    new_complex.append(lev)
+            if events:
+                if new_complex is None:
+                    new_complex = []
+                for event in events:
+                    new_complex.extend(rdv_process(event))
+                new_complex.extend(rdv_tick(t_l[p]))
+            elif rdv_pairs:
+                # tick() with no co-stopped pairs is a pure no-op.
+                ticked = rdv_tick(t_l[p])
+                if ticked:
+                    if new_complex is None:
+                        new_complex = ticked
+                    else:
+                        new_complex.extend(ticked)
+            if cap is not None:
+                if new_complex is None:
+                    new_complex = []
+                new_complex.extend(cap.process(r))
+            if hot is not None:
+                if new_complex is None:
+                    new_complex = []
+                new_complex.extend(hot.process(r))
+            if new_complex:
+                if obs:
+                    # Created lazily, exactly like _run_detectors: a
+                    # run with no complex events never registers it.
+                    self.metrics.counter("cep.complex_events").inc(len(new_complex))
+                for event in new_complex:
+                    result.complex_events.append(event)
+                    if persist:
+                        triples = self.transformer.event_to_triples(event)
+                        event_docs.append(triples)
+                        result.triples_stored += len(triples)
+                out.extend(new_complex)
+
+        if pending:
+            _flush_pending()
+        if event_docs:
+            self.store.add_documents(event_docs)
         return out
 
     def _span(self, name: str, records: int = 0):
@@ -1550,6 +1332,8 @@ class MobilityPipeline:
             wall["clean"] += t_now - t_prev
             t_prev = t_now
         if not ok:
+            if obs:
+                self._record_end = t_now
             return []
         result.reports_clean += 1
 
@@ -1733,9 +1517,6 @@ class MobilityPipeline:
           suffix, which is safe under batch-slicing invariance; a
           RecordBatch source is flattened to its record view for the
           skip.
-
-        Replaces the deprecated ``run_batched``, ``run_with_checkpoints``,
-        ``run_batches_with_checkpoints`` and ``resume_from_checkpoint``.
         """
         run_started = monotonic()
         offset = 0
@@ -1772,15 +1553,10 @@ class MobilityPipeline:
             )
 
         if isinstance(first, RecordBatch) or batch is not None:
-            if isinstance(first, RecordBatch):
-                batches: Iterable[Any] = itertools.chain((first,), stream)
-                process: Callable[[Any], list[ComplexEvent]] = (
-                    self.process_recordbatch
-                )
-            else:
-                batches = _iter_batches(
-                    itertools.chain((first,), stream), batch.size
-                )
+            batches: Iterable[Any] = itertools.chain((first,), stream)
+            process: Callable[[Any], list[ComplexEvent]] = self.process_recordbatch
+            if not isinstance(first, RecordBatch):
+                batches = _iter_batches(batches, batch.size)
                 process = self.process_batch
             boundary = offset // cp_interval if cp_interval else 0
             for b in batches:
@@ -1798,20 +1574,6 @@ class MobilityPipeline:
             if cp_interval and offset % cp_interval == 0:
                 save(offset)
         return self._finalize(run_started)
-
-    def run_batched(
-        self, reports: Iterable[PositionReport], batch_size: int = 256
-    ) -> PipelineResult:
-        """Deprecated alias for ``run(reports, batch=BatchOptions(size))``."""
-        warnings.warn(
-            "MobilityPipeline.run_batched is deprecated; use "
-            "run(reports, batch=BatchOptions(size=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        return self.run(reports, batch=BatchOptions(size=batch_size))
 
     def _finalize(self, run_started: float) -> PipelineResult:
         """Flush windowed detectors and summarize the run."""
@@ -1842,8 +1604,8 @@ class MobilityPipeline:
         """Cumulative wall-clock seconds spent per stage since construction.
 
         Raw (un-normalized) elapsed time accumulated at the same stage
-        boundaries that feed the latency histograms, on every ingest path
-        (per-record, stage-sliced batch, columnar). ``end_to_end`` is the
+        boundaries that feed the latency histograms, on both ingest paths
+        (per-record, columnar). ``end_to_end`` is the
         total pipeline wall, so per-stage shares are directly comparable
         across batch sizes. All zeros when the registry is disabled.
         """
@@ -1930,92 +1692,6 @@ class MobilityPipeline:
         # store's dictionary; rebuild (and re-verify) against the
         # restored one. Derived state only — nothing to checkpoint.
         self._emitter = self._build_emitter()
-
-    def run_with_checkpoints(
-        self,
-        reports: Iterable[PositionReport],
-        checkpoint_store: CheckpointStore,
-        checkpoint_interval: int,
-        start_offset: int = 0,
-    ) -> PipelineResult:
-        """Deprecated alias for ``run(reports, checkpoints=...)``."""
-        warnings.warn(
-            "MobilityPipeline.run_with_checkpoints is deprecated; use "
-            "run(reports, checkpoints=CheckpointOptions(store=..., "
-            "interval=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if checkpoint_interval <= 0:
-            raise ValueError("checkpoint_interval must be positive")
-        return self.run(
-            reports,
-            checkpoints=CheckpointOptions(
-                store=checkpoint_store,
-                interval=checkpoint_interval,
-                start_offset=start_offset,
-            ),
-        )
-
-    def run_batches_with_checkpoints(
-        self,
-        batches: Iterable[Sequence[PositionReport]],
-        checkpoint_store: CheckpointStore,
-        checkpoint_interval: int,
-        start_offset: int = 0,
-    ) -> PipelineResult:
-        """Deprecated alias for ``run(recordbatches(batches), checkpoints=...)``.
-
-        The pre-sliced batches are wrapped as :class:`RecordBatch`
-        instances (offsets running from ``start_offset``) and pushed
-        through the unified entry point; checkpoints land at the first
-        batch boundary at or past each multiple of the interval, exactly
-        as before.
-        """
-        warnings.warn(
-            "MobilityPipeline.run_batches_with_checkpoints is deprecated; "
-            "use run(recordbatches(batches), "
-            "checkpoints=CheckpointOptions(store=..., interval=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if checkpoint_interval <= 0:
-            raise ValueError("checkpoint_interval must be positive")
-        return self.run(
-            recordbatches(batches, start_offset=start_offset),
-            checkpoints=CheckpointOptions(
-                store=checkpoint_store,
-                interval=checkpoint_interval,
-                start_offset=start_offset,
-            ),
-        )
-
-    def resume_from_checkpoint(
-        self,
-        checkpoint_store: CheckpointStore,
-        reports: "ReplayLog[PositionReport] | Sequence[PositionReport]",
-        checkpoint_interval: int | None = None,
-        batch_size: int | None = None,
-    ) -> PipelineResult:
-        """Deprecated alias for ``run(reports, checkpoints=...resume=True)``."""
-        warnings.warn(
-            "MobilityPipeline.resume_from_checkpoint is deprecated; use "
-            "run(reports, checkpoints=CheckpointOptions(store=..., "
-            "resume=True))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if batch_size is not None and batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        return self.run(
-            reports,
-            batch=BatchOptions(size=batch_size) if batch_size is not None else None,
-            checkpoints=CheckpointOptions(
-                store=checkpoint_store,
-                interval=checkpoint_interval,
-                resume=True,
-            ),
-        )
 
     @property
     def result(self) -> PipelineResult:

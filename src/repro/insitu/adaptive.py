@@ -17,7 +17,6 @@ covered by unit tests and the ablation example.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from repro.insitu.critical import AnnotatedReport
 from repro.insitu.synopses import SynopsesConfig, SynopsesGenerator
@@ -107,12 +106,6 @@ class AdaptiveSynopsesGenerator:
         if self._window_seen >= self.adaptive.adjust_every:
             self._adjust()
         return (annotated, keep)
-
-    def process_batch(
-        self, reports: Sequence[PositionReport]
-    ) -> list[tuple[AnnotatedReport, bool]]:
-        """Decide a batch, in order (see :meth:`SynopsesGenerator.process_batch`)."""
-        return [self.process(report) for report in reports]
 
     def finish_all(self) -> list[PositionReport]:
         """Close all tracks (see :meth:`SynopsesGenerator.finish_all`)."""

@@ -7,7 +7,7 @@ records no downstream component should ever see.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -84,73 +84,6 @@ class PlausibilityFilter(StatefulMixin):
                 return False
         self._last[report.entity_id] = report
         return True
-
-    def accept_batch(self, reports: Sequence[PositionReport]) -> list[bool]:
-        """Decide a whole batch; bit-identical to :meth:`accept` in a loop.
-
-        Reports are grouped per entity (order preserved) and each group's
-        consecutive-point distances are computed in one vectorised
-        haversine call. The sequential accept/reject recurrence is then
-        replayed over the precomputed chain: whenever the previous
-        *accepted* report is the immediate batch predecessor, the chain
-        distance is used; otherwise (group head, or predecessor rejected)
-        the scalar kernel runs as before. A vectorised implied speed
-        within ``_BOUNDARY_MARGIN`` of the ceiling is recomputed with the
-        scalar kernel, which makes every decision — and therefore every
-        state update and the ``rejected`` counter — identical to the
-        per-record path.
-        """
-        out = [False] * len(reports)
-        groups: dict[str, list[int]] = {}
-        for i, report in enumerate(reports):
-            groups.setdefault(report.entity_id, []).append(i)
-        for entity_id, idxs in groups.items():
-            if len(idxs) < _CHAIN_MIN_GROUP:
-                for i in idxs:
-                    out[i] = self.accept(reports[i])
-                continue
-            ceiling = self._ceiling(entity_id)
-            n = len(idxs)
-            lons = np.fromiter((reports[i].lon for i in idxs), dtype=np.float64, count=n)
-            lats = np.fromiter((reports[i].lat for i in idxs), dtype=np.float64, count=n)
-            chain = haversine_m_arrays(lons[:-1], lats[:-1], lons[1:], lats[1:])
-            last = self._last.get(entity_id)
-            last_accepted_k = -2  # index into idxs of the last accepted report
-            for k, i in enumerate(idxs):
-                report = reports[i]
-                if report.speed is not None and report.speed > ceiling:
-                    self.rejected += 1
-                    continue
-                if last is not None:
-                    dt = report.t - last.t
-                    if dt <= 0:
-                        self.rejected += 1
-                        continue
-                    if last_accepted_k == k - 1:
-                        implied = chain[k - 1] / dt
-                        if implied > ceiling * (1.0 + _BOUNDARY_MARGIN):
-                            self.rejected += 1
-                            continue
-                        if implied >= ceiling * (1.0 - _BOUNDARY_MARGIN):
-                            implied = (
-                                haversine_m(last.lon, last.lat, report.lon, report.lat)
-                                / dt
-                            )
-                            if implied > ceiling:
-                                self.rejected += 1
-                                continue
-                    else:
-                        implied = (
-                            haversine_m(last.lon, last.lat, report.lon, report.lat) / dt
-                        )
-                        if implied > ceiling:
-                            self.rejected += 1
-                            continue
-                last = report
-                last_accepted_k = k
-                self._last[entity_id] = report
-                out[i] = True
-        return out
 
     def accept_recordbatch(self, rb: "RecordBatch", mask: np.ndarray) -> np.ndarray:
         """Columnar :meth:`accept` over the batch positions where ``mask``.

@@ -21,7 +21,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
@@ -168,18 +168,6 @@ class SynopsesGenerator:
                 report=report, speed=report.speed, heading=report.heading
             )
         return (annotated, keep)
-
-    def process_batch(
-        self, reports: Sequence[PositionReport]
-    ) -> list[tuple[AnnotatedReport, bool]]:
-        """Decide a batch of reports, in order; one call per batch.
-
-        The decision recurrence is inherently sequential per entity
-        (dead-reckoning projects from the last *kept* report), so this is
-        a plain loop — it exists so the micro-batch pipeline stage has a
-        single entry point per batch rather than per record.
-        """
-        return [self.process(report) for report in reports]
 
     def process_recordbatch(
         self, rb: "RecordBatch", active_mask: np.ndarray

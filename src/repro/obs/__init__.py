@@ -12,10 +12,6 @@ registry cover ingest → synopsis → RDF → store → query end-to-end:
 - :class:`SLOChecker` — millisecond p50/p95/p99 budgets per operator and
   end-to-end, the executable form of the paper's "latency in ms"
   requirement (experiment E2).
-
-The legacy ``repro.streams.metrics`` module re-exports ``Counter`` /
-``LatencyHistogram`` / ``OperatorMetrics`` from here with a
-``DeprecationWarning``; new code imports from ``repro.obs``.
 """
 
 from repro.obs.export import InMemoryExporter, JsonLinesExporter, PrometheusTextExporter

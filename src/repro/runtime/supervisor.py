@@ -88,11 +88,7 @@ class RuntimeConfig:
             workers (see :attr:`repro.runtime.worker.WorkerSpec.service_time_s`).
         crash_after: Chaos hook — ``{shard_id: n}`` makes that shard's
             first incarnation die after ``n`` records
-            (:class:`repro.streams.chaos.CrashInjector` inside the
-            worker).
-        batch_execute: Workers process each queue batch through the
-            pipeline's stage-sliced micro-batch hot path (default) rather
-            than record at a time; run content is identical either way.
+            (record-granular, inside the worker).
     """
 
     n_workers: int = 2
@@ -110,7 +106,6 @@ class RuntimeConfig:
     max_restarts_per_shard: int = 3
     service_time_s: float = 0.0
     crash_after: Mapping[int, int] | None = None
-    batch_execute: bool = True
 
     def __post_init__(self) -> None:
         if self.n_workers <= 0:
@@ -354,7 +349,6 @@ class Supervisor:
                     resume=config.resume,
                     crash_after_records=crash_after,
                     service_time_s=config.service_time_s,
-                    batch_execute=config.batch_execute,
                 )
                 runners.append(
                     _ShardRunner(self.pool, spec, records, config, self.metrics)

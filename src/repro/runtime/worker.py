@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.core.pipeline import CheckpointOptions, PipelineSpec
 from repro.core.recordbatch import recordbatches
 from repro.model.reports import PositionReport
-from repro.streams.chaos import CrashInjector, InjectedCrash
+from repro.streams.chaos import InjectedCrash
 from repro.streams.checkpoint import FileCheckpointStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,11 +66,6 @@ class WorkerSpec:
             the worker. ``0.0`` disables it; benchmarks use it to model
             the distributed deployment's I/O-bound regime and tests use
             it to provoke backpressure.
-        batch_execute: Feed each dequeued batch through the pipeline's
-            stage-sliced :meth:`~repro.core.pipeline.MobilityPipeline.process_batch`
-            hot path (the default) instead of record-at-a-time. Results
-            are content-identical either way (the process_batch
-            equivalence contract); checkpoints land on batch boundaries.
     """
 
     shard_id: int
@@ -81,7 +76,6 @@ class WorkerSpec:
     resume: bool = False
     crash_after_records: int | None = None
     service_time_s: float = 0.0
-    batch_execute: bool = True
 
     def __post_init__(self) -> None:
         if self.shard_id < 0:
@@ -90,34 +84,13 @@ class WorkerSpec:
             raise ValueError("checkpoint_interval must be positive")
 
 
-def _drain(in_queue: "MPQueue[Any]", service_time_s: float) -> Iterator[PositionReport]:
-    """Yield records from batched queue items until :data:`EOS`.
+def _drain_batches(in_queue: "MPQueue[Any]", service_time_s: float) -> Iterator[list[PositionReport]]:
+    """Yield whole queue batches until :data:`EOS`.
 
     Polls with a timeout so a worker orphaned by a dead parent exits
-    instead of blocking forever.
-    """
-    parent = multiprocessing.parent_process()
-    while True:
-        try:
-            item = in_queue.get(timeout=1.0)
-        except queue_mod.Empty:
-            if parent is not None and not parent.is_alive():
-                raise SystemExit(1) from None
-            continue
-        if item is EOS:
-            return
-        for report in item:
-            if service_time_s > 0.0:
-                time.sleep(service_time_s)
-            yield report
-
-
-def _drain_batches(in_queue: "MPQueue[Any]", service_time_s: float) -> Iterator[list[PositionReport]]:
-    """Yield whole queue batches until :data:`EOS` (micro-batch dispatch).
-
-    The modeled downstream service time is paid once per batch
-    (``service_time_s × len(batch)``) — the same total wait as the
-    per-record path, without a syscall per record.
+    instead of blocking forever. The modeled downstream service time is
+    paid once per batch (``service_time_s × len(batch)``) — the same
+    total wait as a sleep per record, without a syscall per record.
     """
     parent = multiprocessing.parent_process()
     while True:
@@ -135,14 +108,13 @@ def _drain_batches(in_queue: "MPQueue[Any]", service_time_s: float) -> Iterator[
 
 
 class _BatchCrashInjector:
-    """Record-granular :class:`CrashInjector` semantics over batches.
+    """Record-granular ``CrashInjector`` semantics over batches.
 
     Yields exactly ``crash_after`` *records* (slicing the batch the limit
     falls inside), then raises :class:`InjectedCrash` when the next batch
-    is requested — so a worker crashing "after N records" dies at the
-    same record offset whether it executes per record or per batch. Like
-    :class:`CrashInjector`, no crash fires when the stream ends exactly
-    at the limit.
+    is requested — so a worker crashing "after N records" dies at that
+    record offset whatever the queue batch size. Like ``CrashInjector``,
+    no crash fires when the stream ends exactly at the limit.
     """
 
     def __init__(self, batches: Iterator[list[PositionReport]], crash_after: int) -> None:
@@ -196,32 +168,17 @@ def worker_main(
     out_queue.put(("ready", spec.shard_id, start_offset))
 
     try:
-        if spec.batch_execute:
-            batches = _drain_batches(in_queue, spec.service_time_s)
-            if spec.crash_after_records is not None:
-                batches = iter(
-                    _BatchCrashInjector(batches, spec.crash_after_records)
-                )
-            result = pipeline.run(
-                recordbatches(batches, start_offset=start_offset),
-                checkpoints=CheckpointOptions(
-                    store=store,
-                    interval=spec.checkpoint_interval,
-                    start_offset=start_offset,
-                ),
-            )
-        else:
-            records: Iterator[PositionReport] = _drain(in_queue, spec.service_time_s)
-            if spec.crash_after_records is not None:
-                records = iter(CrashInjector(records, spec.crash_after_records))
-            result = pipeline.run(
-                records,
-                checkpoints=CheckpointOptions(
-                    store=store,
-                    interval=spec.checkpoint_interval,
-                    start_offset=start_offset,
-                ),
-            )
+        batches = _drain_batches(in_queue, spec.service_time_s)
+        if spec.crash_after_records is not None:
+            batches = iter(_BatchCrashInjector(batches, spec.crash_after_records))
+        result = pipeline.run(
+            recordbatches(batches, start_offset=start_offset),
+            checkpoints=CheckpointOptions(
+                store=store,
+                interval=spec.checkpoint_interval,
+                start_offset=start_offset,
+            ),
+        )
     except InjectedCrash:
         raise SystemExit(CHAOS_EXIT_CODE) from None
     out_queue.put(("result", spec.shard_id, result, pipeline.metrics))

@@ -113,5 +113,5 @@ class TestEngineBasics:
 
     def test_rule_ids_cover_documented_set(self):
         assert set(rule_ids()) == {
-            "D1", "D2", "D3", "D4", "D5", "C1", "P1", "P2", "O1", "O2",
+            "D1", "D2", "D3", "D4", "D5", "C1", "P1", "P2", "O1",
         }

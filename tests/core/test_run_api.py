@@ -1,12 +1,9 @@
 """The unified ``MobilityPipeline.run`` entry point and its option types.
 
-``run(source, *, batch, checkpoints)`` replaces four deprecated methods;
-these tests pin (a) result equivalence between the new spellings and the
-old ones, (b) that every deprecated entry point still works but warns,
-and (c) the option dataclasses' validation.
+These tests pin result equivalence between the execution modes that
+``run(source, *, batch, checkpoints)`` selects, and the option
+dataclasses' validation.
 """
-
-import warnings
 
 import pytest
 
@@ -118,69 +115,6 @@ class TestUnifiedRun:
                     store=InMemoryCheckpointStore(), resume=True
                 ),
             )
-
-
-class TestDeprecatedShims:
-    def test_run_batched_warns_and_matches(self, sample):
-        new = _pipeline(sample).run(sample.reports, batch=BatchOptions(size=64))
-        pipeline = _pipeline(sample)
-        with pytest.warns(DeprecationWarning, match="run_batched"):
-            old = pipeline.run_batched(sample.reports, batch_size=64)
-        assert old.deterministic_digest() == new.deterministic_digest()
-
-    def test_run_with_checkpoints_warns_and_matches(self, sample):
-        new_store = InMemoryCheckpointStore(retain=100)
-        new = _pipeline(sample).run(
-            sample.reports,
-            checkpoints=CheckpointOptions(store=new_store, interval=50),
-        )
-        old_store = InMemoryCheckpointStore(retain=100)
-        pipeline = _pipeline(sample)
-        with pytest.warns(DeprecationWarning, match="run_with_checkpoints"):
-            old = pipeline.run_with_checkpoints(sample.reports, old_store, 50)
-        assert old.deterministic_digest() == new.deterministic_digest()
-        assert old_store.latest().source_offset == new_store.latest().source_offset
-
-    def test_run_batches_with_checkpoints_warns_and_matches(self, sample):
-        batches = [
-            sample.reports[i : i + 64] for i in range(0, len(sample.reports), 64)
-        ]
-        new = _pipeline(sample).run(
-            recordbatches(batches),
-            checkpoints=CheckpointOptions(
-                store=InMemoryCheckpointStore(retain=100), interval=100
-            ),
-        )
-        pipeline = _pipeline(sample)
-        with pytest.warns(DeprecationWarning, match="run_batches_with_checkpoints"):
-            old = pipeline.run_batches_with_checkpoints(
-                batches, InMemoryCheckpointStore(retain=100), 100
-            )
-        assert old.deterministic_digest() == new.deterministic_digest()
-
-    def test_resume_from_checkpoint_warns(self, sample):
-        store = InMemoryCheckpointStore(retain=2)
-        with pytest.raises(InjectedCrash):
-            _pipeline(sample).run(
-                CrashInjector(sample.reports, len(sample.reports) // 2),
-                checkpoints=CheckpointOptions(store=store, interval=40),
-            )
-        full = _pipeline(sample).run(sample.reports)
-        pipeline = _pipeline(sample)
-        with pytest.warns(DeprecationWarning, match="resume_from_checkpoint"):
-            resumed = pipeline.resume_from_checkpoint(store, ReplayLog(sample.reports))
-        assert resumed.deterministic_digest() == full.deterministic_digest()
-
-    def test_deprecated_validation_messages_survive(self, sample):
-        pipeline = _pipeline(sample)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="batch_size must be positive"):
-                pipeline.run_batched(sample.reports, batch_size=0)
-            with pytest.raises(ValueError, match="checkpoint_interval must be positive"):
-                pipeline.run_with_checkpoints(
-                    sample.reports, InMemoryCheckpointStore(), 0
-                )
 
 
 class TestOptionValidation:

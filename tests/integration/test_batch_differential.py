@@ -1,11 +1,13 @@
-"""Batch/per-record differential: the stage-sliced path must be invisible.
+"""Batch/per-record differential: batching must be invisible.
 
-:meth:`MobilityPipeline.process_batch` reorders work (stage-major instead
-of record-major) and lands RDF documents in bulk, so this suite pins the
-equivalence contract from every angle the contract names:
+:meth:`MobilityPipeline.process_batch` runs a batch through the columnar
+core (array-at-a-time, RDF documents landed in bulk) or, when the batch
+is too small or chaos is armed, record by record — so this suite pins
+the equivalence contract from every angle the contract names:
 
-- ``deterministic_bytes()`` equality across batch sizes {1, 7, 256} —
-  including a batch of 1, which still executes the stage-sliced code;
+- ``deterministic_bytes()`` equality across batch sizes on both sides of
+  the columnar threshold (15/16/17) and for one run that mixes sizes in
+  a single pipeline, handing state back and forth between the two paths;
 - decoded store contents as multisets (dictionary ids may differ between
   the paths because documents land in a different order, content not);
 - content-derived metrics counters (timing histograms are exempt);
@@ -20,13 +22,15 @@ The workload carries >= PREFILTER_MIN_ZONES zones so the grid-backed
 bypassed.
 """
 
+import itertools
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipeline import MobilityPipeline
+from repro.core.pipeline import BatchOptions, CheckpointOptions, MobilityPipeline
+from repro.core.recordbatch import recordbatches
 from repro.geo.bbox import BBox
 from repro.geo.polygon import Polygon
 from repro.geo.zone_index import PREFILTER_MIN_ZONES
@@ -36,7 +40,11 @@ from repro.streams.chaos import ChaosConfig, InjectedCrash, RetryPolicy
 from repro.streams.checkpoint import InMemoryCheckpointStore
 from repro.streams.replay import ReplayLog
 
-BATCH_SIZES = (1, 7, 256)
+#: Sizes on both sides of the columnar threshold, cycled by ``"mixed"``
+#: runs so one pipeline alternates between its two paths.
+MIXED_SIZES = (7, 64, 3, 256, 1, 16, 15, 17, 37)
+
+BATCH_SIZES = (1, 7, 15, 16, 17, 256, "mixed")
 
 CHAOS = dict(fail_prob=0.2, seed=13, retry=RetryPolicy(max_retries=5, base_delay_s=0.001))
 
@@ -93,9 +101,24 @@ def _store_contents(pipeline) -> Counter:
     return Counter(pipeline.store.match())
 
 
-def _batches(reports, size):
-    for start in range(0, len(reports), size):
-        yield list(reports[start : start + size])
+def _batches(reports, size, phase=0):
+    """Slices of ``size`` records; ``"mixed"`` cycles ``MIXED_SIZES`` from ``phase``."""
+    sizes = (
+        itertools.islice(itertools.cycle(MIXED_SIZES), phase, None)
+        if size == "mixed"
+        else itertools.repeat(size)
+    )
+    start = 0
+    while start < len(reports):
+        step = next(sizes)
+        yield list(reports[start : start + step])
+        start += step
+
+
+def _run_in_batches(pipeline, reports, batch_size):
+    if batch_size == "mixed":
+        return pipeline.run(recordbatches(_batches(reports, "mixed")))
+    return pipeline.run(reports, batch=BatchOptions(size=batch_size))
 
 
 @pytest.fixture(scope="module")
@@ -115,20 +138,20 @@ class TestBatchEqualsPerRecord:
     def test_deterministic_bytes_identical(self, sample, reports, zones, per_record, batch_size):
         __, expected = per_record
         pipeline = _pipeline(sample, zones)
-        actual = pipeline.run_batched(reports, batch_size=batch_size)
+        actual = _run_in_batches(pipeline, reports, batch_size)
         assert actual.deterministic_bytes() == expected.deterministic_bytes()
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_store_contents_identical(self, sample, reports, zones, per_record, batch_size):
         base_pipeline, __ = per_record
         pipeline = _pipeline(sample, zones)
-        pipeline.run_batched(reports, batch_size=batch_size)
+        _run_in_batches(pipeline, reports, batch_size)
         assert _store_contents(pipeline) == _store_contents(base_pipeline)
 
     def test_complex_events_identical(self, sample, reports, zones, per_record):
         __, expected = per_record
         pipeline = _pipeline(sample, zones)
-        actual = pipeline.run_batched(reports, batch_size=64)
+        actual = pipeline.run(reports, batch=BatchOptions(size=64))
         assert [
             (e.event_type, e.entity_ids, e.t_start, e.t_end, e.attributes)
             for e in actual.complex_events
@@ -141,7 +164,9 @@ class TestBatchEqualsPerRecord:
         """Every content-derived counter agrees; only timing may differ.
 
         Read-path counters (``store.match_calls`` etc.) are excluded:
-        other tests in this module query the shared baseline store.
+        other tests in this module query the shared baseline store. So
+        are the ``pipeline.path.*`` counters, which record how batches
+        were executed, not what the records contained.
         """
 
         def ingest_counters(pipeline):
@@ -149,11 +174,12 @@ class TestBatchEqualsPerRecord:
                 k: v
                 for k, v in pipeline.metrics.counters().items()
                 if k not in ("store.match_calls", "store.partition_scans")
+                and not k.startswith("pipeline.path.")
             }
 
         base_pipeline, __ = per_record
         pipeline = _pipeline(sample, zones)
-        pipeline.run_batched(reports, batch_size=64)
+        pipeline.run(reports, batch=BatchOptions(size=64))
         assert ingest_counters(pipeline) == ingest_counters(base_pipeline)
 
     def test_prefilter_active(self, sample, zones):
@@ -170,7 +196,7 @@ class TestBatchEqualsPerRecordUnderChaos:
     ):
         __, expected = per_record_chaotic
         pipeline = _pipeline(sample, zones, chaos=ChaosConfig(**CHAOS))
-        actual = pipeline.run_batched(reports, batch_size=batch_size)
+        actual = _run_in_batches(pipeline, reports, batch_size)
         assert actual.deterministic_bytes() == expected.deterministic_bytes()
 
     def test_chaos_is_actually_firing(self, per_record_chaotic):
@@ -180,46 +206,114 @@ class TestBatchEqualsPerRecordUnderChaos:
     def test_recovery_accounting_identical(self, sample, reports, zones, per_record_chaotic):
         __, expected = per_record_chaotic
         pipeline = _pipeline(sample, zones, chaos=ChaosConfig(**CHAOS))
-        actual = pipeline.run_batched(reports, batch_size=32)
+        actual = pipeline.run(reports, batch=BatchOptions(size=32))
         assert actual.records_recovered == expected.records_recovered
         assert actual.dead_letter_count == expected.dead_letter_count
         assert actual.stage_failures == expected.stage_failures
         assert actual.stage_retries == expected.stage_retries
 
 
+class TestPathSelection:
+    """Which path ran, and why not the fast one, is counted per batch."""
+
+    @staticmethod
+    def _path_counters(pipeline):
+        return {
+            k.removeprefix("pipeline.path."): v
+            for k, v in pipeline.metrics.counters().items()
+            if k.startswith("pipeline.path.")
+        }
+
+    def test_inert_chaos_config_engages_columnar(self, sample, reports, zones):
+        """``ChaosConfig()`` can never fire a fault, so it forces nothing."""
+        window = reports[:640]
+        assert len(window) == 640
+        pipeline = _pipeline(sample, zones, chaos=ChaosConfig())
+        actual = pipeline.run(window, batch=BatchOptions(size=64))
+        expected = _pipeline(sample, zones).run(window, batch=BatchOptions(size=64))
+        assert actual.deterministic_digest() == expected.deterministic_digest()
+        assert self._path_counters(pipeline) == {"columnar": 10}
+
+    def test_counters_sum_to_batches_with_reasons(self, sample, reports, zones):
+        sizes = [len(b) for b in _batches(reports, "mixed")]
+        small = sum(1 for n in sizes if n < 16)
+        plain = _pipeline(sample, zones)
+        _run_in_batches(plain, reports, "mixed")
+        assert self._path_counters(plain) == {
+            "columnar": len(sizes) - small,
+            "scalar.small_batch": small,
+        }
+        chaotic = _pipeline(sample, zones, chaos=ChaosConfig(**CHAOS))
+        _run_in_batches(chaotic, reports, "mixed")
+        assert self._path_counters(chaotic) == {"scalar.chaos": len(sizes)}
+
+    def test_adaptive_synopses_reason(self, sample, reports, zones):
+        from repro.core.config import PipelineConfig
+
+        pipeline = _pipeline(
+            sample, zones, config=PipelineConfig(adaptive_keep_rate=0.3)
+        )
+        pipeline.run(reports[:128], batch=BatchOptions(size=64))
+        assert self._path_counters(pipeline) == {"scalar.adaptive_synopses": 2}
+
+    def test_per_record_run_counts_no_batches(self, per_record):
+        base_pipeline, __ = per_record
+        assert self._path_counters(base_pipeline) == {}
+
+
 class TestBatchCrashRestartDifferential:
-    def _crash_and_resume(self, sample, reports, zones, chaos=None):
+    def _crash_and_resume(self, sample, reports, zones, batch_size, chaos=None):
         kwargs = {"chaos": chaos} if chaos else {}
         store = InMemoryCheckpointStore()
         crashed = _pipeline(sample, zones, **kwargs)
         crash_after = len(reports) * 2 // 3
         with pytest.raises(InjectedCrash):
-            crashed.run_batches_with_checkpoints(
-                iter(_BatchCrashInjector(_batches(reports, 64), crash_after)),
-                store,
-                checkpoint_interval=200,
+            crashed.run(
+                recordbatches(
+                    iter(_BatchCrashInjector(_batches(reports, batch_size), crash_after))
+                ),
+                checkpoints=CheckpointOptions(store=store, interval=200),
             )
         # The crash cost real progress: it fired past the last barrier.
-        assert 0 < store.latest().source_offset < crash_after
+        offset = store.latest().source_offset
+        assert 0 < offset < crash_after
         fresh = _pipeline(sample, zones, **kwargs)
-        # Resume with a *different* batch size: equivalence must not
-        # depend on batch boundaries lining up across incarnations.
-        result = fresh.resume_from_checkpoint(store, ReplayLog(reports), batch_size=37)
+        # Resume with *different* batch boundaries: equivalence must not
+        # depend on them lining up across incarnations.
+        if batch_size == "mixed":
+            # run(resume=True) re-batches at one size; restore by hand (as
+            # a runtime worker does) to keep the suffix mixed-size too.
+            fresh.restore(store.latest().states)
+            result = fresh.run(
+                recordbatches(
+                    _batches(reports[offset:], "mixed", phase=4), start_offset=offset
+                )
+            )
+        else:
+            result = fresh.run(
+                ReplayLog(reports),
+                batch=BatchOptions(size=37),
+                checkpoints=CheckpointOptions(store=store, resume=True),
+            )
         return fresh, result
 
+    @pytest.mark.parametrize("batch_size", (64, "mixed"))
     def test_resumed_batch_run_matches_uninterrupted_per_record(
-        self, sample, reports, zones, per_record
+        self, sample, reports, zones, per_record, batch_size
     ):
         base_pipeline, expected = per_record
-        fresh, actual = self._crash_and_resume(sample, reports, zones)
+        fresh, actual = self._crash_and_resume(sample, reports, zones, batch_size)
         assert actual.deterministic_bytes() == expected.deterministic_bytes()
         assert _store_contents(fresh) == _store_contents(base_pipeline)
 
+    @pytest.mark.parametrize("batch_size", (64, "mixed"))
     def test_resumed_chaotic_batch_run_matches_uninterrupted_per_record(
-        self, sample, reports, zones, per_record_chaotic
+        self, sample, reports, zones, per_record_chaotic, batch_size
     ):
         base_pipeline, expected = per_record_chaotic
-        fresh, actual = self._crash_and_resume(sample, reports, zones, chaos=ChaosConfig(**CHAOS))
+        fresh, actual = self._crash_and_resume(
+            sample, reports, zones, batch_size, chaos=ChaosConfig(**CHAOS)
+        )
         assert actual.deterministic_bytes() == expected.deterministic_bytes()
         assert _store_contents(fresh) == _store_contents(base_pipeline)
 
@@ -252,20 +346,18 @@ class TestCompiledEmitterDifferential:
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_ablation_differential(self, sample, reports, zones, batch_size):
         from repro.core.config import PipelineConfig
-        from repro.core.pipeline import BatchOptions
 
         compiled = _pipeline(sample, zones)
         fallback = _pipeline(
             sample, zones, config=PipelineConfig(compiled_rdf_emitter=False)
         )
-        got = compiled.run(reports, batch=BatchOptions(size=batch_size))
-        want = fallback.run(reports, batch=BatchOptions(size=batch_size))
+        got = _run_in_batches(compiled, reports, batch_size)
+        want = _run_in_batches(fallback, reports, batch_size)
         assert got.deterministic_bytes() == want.deterministic_bytes()
         assert _store_contents(compiled) == _store_contents(fallback)
 
     def test_aviation_optional_fields_differential(self):
         from repro.core.config import PipelineConfig
-        from repro.core.pipeline import BatchOptions
         from repro.sources.generators import AviationTrafficGenerator
 
         from dataclasses import replace
@@ -297,7 +389,6 @@ class TestCompiledEmitterDifferential:
         assert _store_contents(compiled) == _store_contents(per_record)
 
     def test_stage_wall_accumulates_on_columnar_path(self, sample, reports, zones):
-        from repro.core.pipeline import BatchOptions
         from repro.obs import MetricsRegistry
 
         pipeline = _pipeline(sample, zones, metrics=MetricsRegistry(seed=5))
@@ -322,13 +413,13 @@ class TestBatchProperties:
     def test_any_slice_any_batch_size(self, sample, reports, zones, start, length, batch_size):
         window = reports[start : start + length]
         expected = _pipeline(sample, zones).run(window)
-        actual = _pipeline(sample, zones).run_batched(window, batch_size=batch_size)
+        actual = _pipeline(sample, zones).run(window, batch=BatchOptions(size=batch_size))
         assert actual.deterministic_bytes() == expected.deterministic_bytes()
 
     def test_empty_stream(self, sample, zones):
-        result = _pipeline(sample, zones).run_batched([], batch_size=8)
+        result = _pipeline(sample, zones).run([], batch=BatchOptions(size=8))
         assert result.reports_in == 0
 
     def test_batch_size_must_be_positive(self, sample, reports, zones):
         with pytest.raises(ValueError):
-            _pipeline(sample, zones).run_batched(reports, batch_size=0)
+            _pipeline(sample, zones).run(reports, batch=BatchOptions(size=0))

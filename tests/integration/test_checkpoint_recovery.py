@@ -9,7 +9,7 @@ recover, the remainder landing in the dead-letter queue.
 
 import pytest
 
-from repro.core.pipeline import MobilityPipeline
+from repro.core.pipeline import CheckpointOptions, MobilityPipeline
 from repro.sources.generators import MaritimeTrafficGenerator
 from repro.streams.chaos import ChaosConfig, CrashInjector, InjectedCrash, RetryPolicy
 from repro.streams.checkpoint import InMemoryCheckpointStore
@@ -49,16 +49,17 @@ class TestCrashResumeDifferential:
         store = InMemoryCheckpointStore()
         crashed = _pipeline(sample)
         with pytest.raises(InjectedCrash):
-            crashed.run_with_checkpoints(
+            crashed.run(
                 CrashInjector(reports, crash_after=len(reports) * 2 // 3),
-                store,
-                checkpoint_interval=200,
+                checkpoints=CheckpointOptions(store=store, interval=200),
             )
         # Some progress was lost: the crash happened past the last barrier.
         assert 0 < store.latest().source_offset < len(reports) * 2 // 3
 
         fresh = _pipeline(sample)  # a new worker, no shared in-memory state
-        result = fresh.resume_from_checkpoint(store, ReplayLog(reports))
+        result = fresh.run(
+            ReplayLog(reports), checkpoints=CheckpointOptions(store=store, resume=True)
+        )
         return fresh, result
 
     def test_counts_identical(self, baseline, resumed):
@@ -102,7 +103,12 @@ class TestCrashResumeDifferential:
     def test_resume_without_checkpoint_rejected(self, sample, reports):
         pipeline = _pipeline(sample)
         with pytest.raises(ValueError):
-            pipeline.resume_from_checkpoint(InMemoryCheckpointStore(), reports)
+            pipeline.run(
+                reports,
+                checkpoints=CheckpointOptions(
+                    store=InMemoryCheckpointStore(), resume=True
+                ),
+            )
 
     def test_double_crash_then_resume(self, sample, reports, baseline):
         """Recovery works even when the resumed run crashes again."""
@@ -110,17 +116,21 @@ class TestCrashResumeDifferential:
         store = InMemoryCheckpointStore()
         first = _pipeline(sample)
         with pytest.raises(InjectedCrash):
-            first.run_with_checkpoints(
-                CrashInjector(reports, crash_after=500), store, checkpoint_interval=150
+            first.run(
+                CrashInjector(reports, crash_after=500),
+                checkpoints=CheckpointOptions(store=store, interval=150),
             )
         second = _pipeline(sample)
         with pytest.raises(InjectedCrash):
-            second.resume_from_checkpoint(
-                store, CrashInjector(reports, crash_after=900), checkpoint_interval=150
+            second.run(
+                CrashInjector(reports, crash_after=900),
+                checkpoints=CheckpointOptions(store=store, interval=150, resume=True),
             )
         assert store.latest().source_offset == 900
         third = _pipeline(sample)
-        result = third.resume_from_checkpoint(store, ReplayLog(reports))
+        result = third.run(
+            ReplayLog(reports), checkpoints=CheckpointOptions(store=store, resume=True)
+        )
         assert result.reports_in == expected.reports_in
         assert result.triples_stored == expected.triples_stored
         assert len(result.simple_events) == len(expected.simple_events)

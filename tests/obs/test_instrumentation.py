@@ -87,6 +87,24 @@ class TestPipelineInstrumentation:
             result.throughput_rps
         )
 
+    def test_records_rejected_at_clean_have_nonnegative_end_to_end(self):
+        """Regression: a clean-stage reject closed its end-to-end sample
+        against the *previous* record's end, so every replayed duplicate
+        recorded a negative latency and shrank the end-to-end stage wall."""
+        metrics = MetricsRegistry(seed=1)
+        pipeline = MobilityPipeline(BBOX, metrics=metrics)
+        reports = make_reports(n=200)
+        for report in reports + reports[:50]:
+            pipeline.process_report(report)
+        assert pipeline.live_result.reports_clean <= 200  # >= 50 rejects
+        buffered = pipeline._lat_buf["end_to_end"]
+        assert len(buffered) == 250
+        assert min(buffered) >= 0.0
+        wall = pipeline.stage_wall_seconds()
+        assert wall["end_to_end"] >= wall["clean"]
+        pipeline.snapshot()  # lands the buffer on the histogram
+        assert min(metrics.histogram("pipeline.end_to_end").samples) >= 0.0
+
 
 class TestTracingModes:
     def test_tracing_disabled_by_zero_sampling(self):

@@ -1,5 +1,7 @@
 """The unified metrics registry: instruments, merging, disabled mode."""
 
+import random
+
 import pytest
 
 from repro.obs import (
@@ -69,6 +71,34 @@ class TestLatencyHistogram:
 
         assert run(7) == run(7)
         assert run(7) != run(8)
+
+    def test_thinning_is_independent_of_global_rng(self):
+        """Regression: reservoir thinning must not touch the global RNG.
+
+        Long benchmark runs previously drew from the unseeded ``random``
+        module, so percentiles differed run to run.
+        """
+
+        def run(global_seed):
+            h = LatencyHistogram(max_samples=100)
+            random.seed(global_seed)
+            for i in range(5000):
+                h.record((i % 37) * 1e-4)
+            return h.samples, [random.random() for __ in range(5)]
+
+        random.seed(1)
+        untouched = [random.random() for __ in range(5)]
+        samples_a, draws_a = run(1)
+        samples_b, __ = run(99999)
+        assert samples_a == samples_b
+        assert draws_a == untouched  # 4900 thinning draws left it alone
+
+    def test_below_capacity_keeps_everything(self):
+        h = LatencyHistogram(max_samples=100)
+        for i in range(30):
+            h.record((i % 37) * 1e-4)
+        assert len(h.samples) == 30
+        assert h.percentile_ms(100) == max(h.samples) * 1000.0
 
     def test_merge_unions_samples_and_counts(self):
         a = LatencyHistogram(seed=1)

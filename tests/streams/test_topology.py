@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.streams.metrics import Counter, LatencyHistogram
+from repro.obs import Counter, LatencyHistogram
 from repro.streams.operators import CollectSink, FilterOperator, MapOperator
 from repro.streams.records import Record
 from repro.streams.topology import StreamRunner, Topology
