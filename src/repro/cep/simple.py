@@ -25,18 +25,14 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.cep.detectors import _VECTOR_MIN_CANDIDATES
 from repro.geo.geodesy import haversine_m, haversine_m_arrays
-from repro.geo.grid import GeoGrid, GridIndex
 from repro.geo.polygon import Polygon
 from repro.geo.zone_index import ZoneIndex
 from repro.model.entities import EntityRegistry
 from repro.model.events import EventSeverity, SimpleEvent
 from repro.model.reports import PositionReport
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-
-#: Below this many proximity candidates the scalar loop beats the numpy
-#: round-trip; at or above it, distances come from one vectorised call.
-_VECTOR_MIN_CANDIDATES = 16
 
 #: Conservative metres per degree of latitude (strict lower bound on
 #: great-circle distance via the meridian arc — see
@@ -92,7 +88,6 @@ class SimpleEventExtractor:
         config: SimpleEventConfig | None = None,
         zones: Iterable[Polygon] = (),
         registry: EntityRegistry | None = None,
-        grid: GeoGrid | None = None,
         metrics: "MetricsRegistry | None" = None,
         zone_index: ZoneIndex | None = None,
     ) -> None:
@@ -105,7 +100,6 @@ class SimpleEventExtractor:
         self._states: dict[str, _EntityState] = {}
         # Latest position per entity for proximity checks.
         self._latest: dict[str, PositionReport] = {}
-        self._grid = grid
         if zone_index is not None and len(zone_index) != len(self.zones):
             raise ValueError("zone_index must index exactly the extractor's zones")
         self._zone_index = zone_index
@@ -261,56 +255,59 @@ class SimpleEventExtractor:
     def _proximity_events(self, report: PositionReport, events: list[SimpleEvent]) -> None:
         radius = self.config.proximity_radius_m
         fresh = [
-            (other_id, other)
-            for other_id, other in self._candidates(report)
+            other
+            for other_id, other in self._latest.items()
             if other_id != report.entity_id
             and report.t - other.t <= self.config.proximity_staleness_s
             and abs(report.lat - other.lat) * _METERS_PER_DEG_LAT_FLOOR <= radius
         ]
         if len(fresh) >= _VECTOR_MIN_CANDIDATES:
             n = len(fresh)
-            lons = np.fromiter((o.lon for __, o in fresh), dtype=np.float64, count=n)
-            lats = np.fromiter((o.lat for __, o in fresh), dtype=np.float64, count=n)
+            lons = np.fromiter((o.lon for o in fresh), dtype=np.float64, count=n)
+            lats = np.fromiter((o.lat for o in fresh), dtype=np.float64, count=n)
             distances = haversine_m_arrays(report.lon, report.lat, lons, lats)
-            hits = [
-                (other_id, float(d))
-                for (other_id, __), d in zip(fresh, distances)
+            events.extend(
+                self._proximity_event(report, other, float(d))
+                for other, d in zip(fresh, distances)
                 if d <= radius
-            ]
-        else:
-            hits = [
-                (other_id, distance)
-                for other_id, other in fresh
-                if (
-                    distance := haversine_m(report.lon, report.lat, other.lon, other.lat)
-                )
-                <= radius
-            ]
-        for other_id, distance in hits:
-            events.append(
-                self._event(
-                    "proximity",
-                    report,
-                    severity=EventSeverity.ADVISORY,
-                    other=other_id,
-                    distance_m=distance,
-                )
             )
+        elif fresh:
+            events.extend(self._scalar_proximity(report, fresh))
 
-    def _candidates(self, report: PositionReport) -> list[tuple[str, PositionReport]]:
-        """Entities that could be within the proximity radius.
+    def _scalar_proximity(
+        self, report: PositionReport, others: Iterable[PositionReport]
+    ) -> list[SimpleEvent]:
+        """Proximity events of ``report`` against ``others``, in their order.
 
-        With a grid configured this uses a spatial index rebuilt lazily;
-        without one it scans all latest positions (fine for small fleets,
-        and always correct).
+        Hit decision and ``distance_m`` come from the scalar kernel. The
+        columnar pipeline walk calls this with the candidates its as-of
+        pair join kept (a superset of the hits, fewer than
+        ``_VECTOR_MIN_CANDIDATES`` fresh), so both paths share one decision
+        and one payload.
         """
-        if self._grid is None:
-            return list(self._latest.items())
-        index = GridIndex(self._grid)
-        for entity_id, last in self._latest.items():
-            index.insert(last.lon, last.lat, entity_id)
-        ids = index.query_radius(report.lon, report.lat, self.config.proximity_radius_m)
-        return [(i, self._latest[i]) for i in ids]
+        radius = self.config.proximity_radius_m
+        return [
+            self._proximity_event(report, other, distance)
+            for other in others
+            if (distance := haversine_m(report.lon, report.lat, other.lon, other.lat))
+            <= radius
+        ]
+
+    @staticmethod
+    def _proximity_event(
+        report: PositionReport, other: PositionReport, distance: float
+    ) -> SimpleEvent:
+        # Built directly, not through _event: this is the one event type
+        # raised several times per report on a dense fleet.
+        return SimpleEvent(
+            "proximity",
+            report.entity_id,
+            report.t,
+            report.lon,
+            report.lat,
+            EventSeverity.ADVISORY,
+            {"other": other.entity_id, "distance_m": distance},
+        )
 
     @staticmethod
     def _event(

@@ -28,6 +28,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from repro.cep.detectors import (
+    _VECTOR_MIN_CANDIDATES,
     CapacityDemandDetector,
     CollisionRiskDetector,
     LoiteringDetector,
@@ -450,7 +451,6 @@ class MobilityPipeline:
             config=self.config.simple_events,
             zones=self.zones,
             registry=self.registry,
-            grid=None,
             metrics=self.metrics,
             zone_index=self._zone_index,
         )
@@ -746,16 +746,25 @@ class MobilityPipeline:
             # Which records *must* run a scalar component is decided
             # entirely up front with vectorized exact-or-conservative
             # guards: `ex_int` (simple-event extraction) and `coll_int`
-            # (collision pair checks). Everything else provably emits
-            # nothing and only advances per-entity latest state, applied
-            # lazily by the walk.
+            # (collision pair checks). Proximity is the exception: the
+            # pair join hands the walk the candidates themselves, so a
+            # record raising nothing else emits without replaying.
+            # Everything else provably emits nothing and only advances
+            # per-entity latest state, applied lazily by the walk.
             ex_int, loit_map = self._segment_guards(rb, mask, inside_cols)
-            prox_may, coll_may = self._pair_guards(rb, active)
-            ex_int[active] |= prox_may
+            prox_start, prox_other, prox_vec, coll_may = self._pair_guards(rb, active)
+            ex_int[active] |= prox_vec
             coll_int = np.zeros(n, dtype=bool)
             coll_int[active] = coll_may
+            if obs:
+                counter = self.metrics.counter
+                counter("pipeline.columnar.records").inc(n_active)
+                counter("pipeline.replay.extractor").inc(int(ex_int.sum()))
+                counter("pipeline.replay.collision").inc(int(coll_may.sum()))
+                counter("pipeline.replay.proximity_vector_kernel").inc(int(prox_vec.sum()))
             out = self._guarded_walk(
-                rb, active_l, ex_int.tolist(), coll_int.tolist(), loit_map
+                rb, active_l, ex_int.tolist(), coll_int.tolist(), loit_map,
+                prox_start, prox_other,
             )
 
         if obs:
@@ -959,72 +968,160 @@ class MobilityPipeline:
 
     def _pair_guards(
         self, rb: RecordBatch, active: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Pairwise guards, as masks aligned with ``active``: rows that may
-        emit a proximity event, rows that may fire the collision detector."""
-        ex_latest = self._extractor._latest
+    ) -> tuple[list[int], list[PositionReport], np.ndarray, np.ndarray]:
+        """One as-of pair join over the active records.
+
+        For each record and each other entity, the other's position "as
+        of" that record is its latest earlier active record in the batch,
+        or its pre-batch latest-map entry. ``src2[c, i]`` is the latest
+        active row of vocabulary code ``c`` at or before row ``i`` (-1
+        when none); a row's own code resolves to itself and is masked
+        wherever the join is consumed, so ``src2`` always points at a
+        *strictly earlier* row.
+
+        Returns the proximity candidates (:meth:`_proximity_pairs`) and
+        the mask, aligned with ``active``, of rows that may fire the
+        collision detector.
+        """
+        n_active = int(active.size)
+        if n_active == 0:
+            none = np.zeros(0, dtype=bool)
+            return [0], [], none, none
+        codes = rb.entity_codes[active]
+        eye = codes[None, :] == np.arange(len(rb.vocabulary))[:, None]
+        src2 = np.maximum.accumulate(
+            np.where(eye, np.arange(n_active)[None, :], -1), axis=1
+        )
+        prox_start, prox_other, prox_vec = self._proximity_pairs(rb, active, eye, src2)
+        coll_may = self._collision_guard(rb, active, eye, src2)
+        return prox_start, prox_other, prox_vec, coll_may
+
+    def _proximity_pairs(
+        self, rb: RecordBatch, active: np.ndarray, eye: np.ndarray, src2: np.ndarray
+    ) -> tuple[list[int], list[PositionReport], np.ndarray]:
+        """The proximity side of the pair join, as events-to-be.
+
+        One join row per entity that can be a candidate at all, one
+        column per active record. The rows are the extractor's latest map
+        in insertion order (entries outside the batch are frozen during
+        it: one constant row each, dropped when already stale at the
+        batch's earliest record), then the batch's new entities by first
+        appearance — the order ``_proximity_events`` scans in. The
+        candidate mask replicates its freshness and latitude-band
+        prefilters exactly (same floats, same IEEE compares); candidates
+        within the radius banded by 1e-9 relative (vector-vs-scalar
+        haversine ulp spread, subset-vs-full evaluation) are a superset
+        of the hits, which the walk decides with the scalar kernel.
+
+        Returns ``(start, others, vector)``: the candidates of active
+        record ``i`` are ``others[start[i]:start[i + 1]]`` (the other
+        entity's as-of report, in scan order); ``vector`` marks records
+        with candidates whose fresh count reaches
+        ``_VECTOR_MIN_CANDIDATES`` — there the scalar path takes distances
+        from the vector kernel, so those records must replay through it.
+        """
         cfg = self._extractor.config
-        prox_stale = cfg.proximity_staleness_s
-        prox_rad = cfg.proximity_radius_m
+        stale = cfg.proximity_staleness_s
+        radius = cfg.proximity_radius_m
+        reports = rb.reports
+        n_active = int(active.size)
+        codes = rb.entity_codes[active]
+        tA = rb.t[active]
+        latA = rb.lat[active]
+        lonA = rb.lon[active]
+
+        # An entity can be in the batch vocabulary with zero *active* rows
+        # (every record masked, e.g. dropped as out-of-order on re-ingest):
+        # its join row is all-fallback, or absent when it has no state.
+        code_of = {eid: c for c, eid in enumerate(rb.vocabulary)}
+        t_first = tA.min()
+        ent_code: list[int] = []
+        ent_last: list[PositionReport | None] = []
+        for oid, o in self._extractor._latest.items():
+            c = code_of.pop(oid, -1)
+            # Same float subtraction as the mask below, monotone in the
+            # record's t: stale at the earliest record proves the whole
+            # row False.
+            if c >= 0 or not t_first - o.t > stale:
+                ent_code.append(c)
+                ent_last.append(o)
+        has_row = eye.any(axis=1)
+        first_row = eye.argmax(axis=1).tolist()
+        for c in sorted(code_of.values(), key=first_row.__getitem__):
+            if has_row[c]:
+                ent_code.append(c)
+                ent_last.append(None)
+        ent_codes = np.array(ent_code, dtype=np.intp)
+        # -inf timestamps make the staleness check unsatisfiable where no
+        # pre-batch state exists.
+        f_t = np.array([-np.inf if o is None else o.t for o in ent_last])
+        f_lat = np.array([0.0 if o is None else o.lat for o in ent_last])
+        f_lon = np.array([0.0 if o is None else o.lon for o in ent_last])
+
+        # Code -1 (outside the batch) picks the appended all -1 row; a -1
+        # source wraps to the last row under fancy indexing — harmless,
+        # np.where discards it.
+        src = np.vstack([src2, np.full((1, n_active), -1)])[ent_codes]
+        has = src >= 0
+        lat2 = np.where(has, latA[src], f_lat[:, None])
+        cand = (
+            (ent_codes[:, None] != codes[None, :])
+            & ((tA[None, :] - np.where(has, tA[src], f_t[:, None])) <= stale)
+            & (np.abs(latA[None, :] - lat2) * _METERS_PER_DEG_LAT_FLOOR <= radius)
+        )
+        if not cand.any():
+            return [0] * (n_active + 1), [], np.zeros(n_active, dtype=bool)
+        # Transposed: candidates come out by record, then in scan order.
+        recs, ents = np.nonzero(cand.T)
+        ss = src[ents, recs]
+        d = haversine_m_arrays(
+            lonA[recs],
+            latA[recs],
+            np.where(ss >= 0, lonA[ss], f_lon[ents]),
+            lat2[ents, recs],
+        )
+        near = d <= radius * (1.0 + 1e-9)
+        ss = ss[near]
+        others = [
+            ent_last[e] if q < 0 else reports[q]
+            for q, e in zip(np.where(ss >= 0, active[ss], -1).tolist(), ents[near].tolist())
+        ]
+        start = np.searchsorted(recs[near], np.arange(n_active + 1))
+        vector = (np.diff(start) > 0) & (cand.sum(axis=0) >= _VECTOR_MIN_CANDIDATES)
+        return start.tolist(), others, vector
+
+    def _collision_guard(
+        self, rb: RecordBatch, active: np.ndarray, eye: np.ndarray, src2: np.ndarray
+    ) -> np.ndarray:
+        """The collision side of the pair join: the mask, aligned with
+        ``active``, of rows that may fire the collision detector.
+
+        Replicates the freshness, kinematics and latitude-band prefilters
+        of ``CollisionRiskDetector._candidates`` exactly, bands the
+        exact-distance cut by 1e-9 relative, and adds the conservative
+        vectorized CPA/TCPA pre-check (:func:`_cpa_may_fire`). A row left
+        unmasked provably raises no collision event.
+        """
         coll = self._collision
         coll_latest = coll._latest
-        vocab = rb.vocabulary
-        n_codes = len(vocab)
-
-        # Proximity and collision guards: one as-of pair join over
-        # the active records. For each record and each other entity,
-        # the other's position "as of" that record is its latest
-        # earlier active record in the batch, or its pre-batch
-        # latest-map entry. The masks replicate the freshness +
-        # latitude-band prefilters of `_proximity_events` /
-        # `_candidates` exactly (same floats, same IEEE compares),
-        # band the exact-distance cut by 1e-9 relative (vector vs
-        # scalar haversine ulp spread), and — for collision — add a
-        # conservative vectorized CPA/TCPA pre-check with metre/
-        # millisecond margins. A record left unmasked provably takes
-        # no event-emitting branch.
-        A = active
-        nA = int(active.size)
-        codesA = rb.entity_codes[A]
-        tA = rb.t[A]
-        latA = rb.lat[A]
-        lonA = rb.lon[A]
-        spdA = rb.speed[A]
-        hdgA = rb.heading[A]
-        kinA = ~(np.isnan(spdA) | np.isnan(hdgA))
-        # All-None current altitudes force the scalar CPA 2-D and its
-        # fire condition to the maritime branch (see _cpa_may_fire).
-        use_cpa = bool(np.isnan(rb.alt).all())
-        batch_ids = frozenset(vocab)
         coll_stale = coll.staleness_s
         coll_rad = coll.candidate_radius_m
         cpa_thr = coll.cpa_threshold_m
         tcpa_thr = coll.tcpa_threshold_s
-        prox_may = np.zeros(nA, dtype=bool)
-        coll_may = np.zeros(nA, dtype=bool)
-        # One 2-D as-of join for every code at once: src2[c, i] is
-        # the latest active row of code c at or before row i (-1 when
-        # none). A row's own code resolves to itself and is masked by
-        # `notself2`, so everywhere the join is consumed src2 points
-        # at a *strictly earlier* row — exactly the per-code
-        # searchsorted join this replaces, at ~n_codes fewer numpy
-        # dispatches per batch. Distances and the CPA pre-check run
-        # on the candidate pairs only; the 1e-9 bands already absorb
-        # elementwise-kernel ulp spread, which covers subset-vs-full
-        # evaluation too.
-        idx_row = np.arange(nA)
-        eye = codesA[None, :] == np.arange(n_codes)[:, None]
-        src2 = np.maximum.accumulate(np.where(eye, idx_row[None, :], -1), axis=1)
-        has2 = src2 >= 0
-        notself2 = ~eye
-        # Pre-batch fallback columns per code. An entity can be in
-        # the batch vocabulary with zero *active* rows (every record
-        # masked, e.g. dropped as out-of-order on re-ingest); its
-        # join column is then all-fallback. -inf timestamps make the
+        vocab = rb.vocabulary
+        n_codes = len(vocab)
+        tA = rb.t[active]
+        latA = rb.lat[active]
+        lonA = rb.lon[active]
+        spdA = rb.speed[active]
+        hdgA = rb.heading[active]
+        kinA = ~(np.isnan(spdA) | np.isnan(hdgA))
+        # All-None current altitudes force the scalar CPA 2-D and its
+        # fire condition to the maritime branch (see _cpa_may_fire).
+        use_cpa = bool(np.isnan(rb.alt).all())
+        coll_may = np.zeros(int(active.size), dtype=bool)
+        # Pre-batch fallback columns per code; -inf timestamps make the
         # staleness check unsatisfiable where no state exists.
-        fp_t = np.full(n_codes, -np.inf)
-        fp_lat = np.zeros(n_codes)
-        fp_lon = np.zeros(n_codes)
         fc_t = np.full(n_codes, -np.inf)
         fc_lat = np.zeros(n_codes)
         fc_lon = np.zeros(n_codes)
@@ -1032,11 +1129,6 @@ class MobilityPipeline:
         fc_hdg = np.zeros(n_codes)
         fc_kin = np.zeros(n_codes, dtype=bool)
         for c2, eid2 in enumerate(vocab):
-            o = ex_latest.get(eid2)
-            if o is not None:
-                fp_t[c2] = o.t
-                fp_lat[c2] = o.lat
-                fp_lon[c2] = o.lon
             oc = coll_latest.get(eid2)
             if oc is not None and oc.speed is not None and oc.heading is not None:
                 fc_t[c2] = oc.t
@@ -1045,35 +1137,12 @@ class MobilityPipeline:
                 fc_spd[c2] = oc.speed
                 fc_hdg[c2] = oc.heading
                 fc_kin[c2] = True
-        # src2 == -1 wraps to the last row under fancy indexing —
-        # harmless, np.where discards it where has2 is False.
-        t_src = tA[src2]
-        lat_src = latA[src2]
-        T2 = np.where(has2, t_src, fp_t[:, None])
-        LAT2 = np.where(has2, lat_src, fp_lat[:, None])
-        cand = (
-            notself2
-            & ((tA[None, :] - T2) <= prox_stale)
-            & (np.abs(latA[None, :] - LAT2) * _METERS_PER_DEG_LAT_FLOOR <= prox_rad)
-        )
-        if cand.any():
-            rows, cols = np.nonzero(cand)
-            hs = has2[rows, cols]
-            ss = src2[rows, cols]
-            d = haversine_m_arrays(
-                lonA[cols],
-                latA[cols],
-                np.where(hs, lonA[ss], fp_lon[rows]),
-                LAT2[rows, cols],
-            )
-            hit = d <= prox_rad * (1.0 + 1e-9)
-            if hit.any():
-                prox_may[cols[hit]] = True
-        T2 = np.where(has2, t_src, fc_t[:, None])
-        LAT2 = np.where(has2, lat_src, fc_lat[:, None])
+        has2 = src2 >= 0
+        T2 = np.where(has2, tA[src2], fc_t[:, None])
+        LAT2 = np.where(has2, latA[src2], fc_lat[:, None])
         KIN2 = np.where(has2, kinA[src2], fc_kin[:, None])
         cand = (
-            notself2
+            ~eye
             & kinA[None, :]
             & KIN2
             & ((tA[None, :] - T2) <= coll_stale)
@@ -1102,19 +1171,19 @@ class MobilityPipeline:
                 coll_may[cols[fire]] = True
             elif not use_cpa:
                 coll_may[cols[near]] = True
-        # Latest-map entries outside the batch are frozen during it:
-        # one constant column each.
-        for oid, o in ex_latest.items():
-            if oid in batch_ids:
-                continue
-            cand = ((tA - o.t) <= prox_stale) & (
-                np.abs(latA - o.lat) * _METERS_PER_DEG_LAT_FLOOR <= prox_rad
-            )
-            if cand.any():
-                d = haversine_m_arrays(lonA, latA, o.lon, o.lat)
-                prox_may |= cand & (d <= prox_rad * (1.0 + 1e-9))
+        # Latest-map entries outside the batch are frozen during it: one
+        # constant column each, skipped when already stale at the batch's
+        # earliest record (same float subtraction as the mask, monotone in
+        # the row's t, so it proves the whole column False).
+        batch_ids = frozenset(vocab)
+        t_first = tA.min()
         for oid, o in coll_latest.items():
-            if oid in batch_ids or o.speed is None or o.heading is None:
+            if (
+                oid in batch_ids
+                or o.speed is None
+                or o.heading is None
+                or t_first - o.t > coll_stale
+            ):
                 continue
             cand = (
                 kinA
@@ -1131,15 +1200,17 @@ class MobilityPipeline:
                         cpa_thr, tcpa_thr,
                     )
                 coll_may |= cand
-        return prox_may, coll_may
+        return coll_may
 
     def _guarded_walk(
         self, rb: RecordBatch, active_l: list[int], ex_l: list[bool],
         coll_l: list[bool], loit_map: dict[int, ComplexEvent],
+        prox_start: list[int], prox_other: list[PositionReport],
     ) -> list[ComplexEvent]:
         """Fused simple-event + detector walk over the active records:
         guard-flagged ones call the scalar extractor / collision detector,
-        the rest advance per-entity latest state lazily."""
+        the rest emit their proximity events straight from the pair join's
+        candidates and advance per-entity latest state lazily."""
         result = self._result
         obs = self._obs
         reports = rb.reports
@@ -1182,7 +1253,7 @@ class MobilityPipeline:
         loit_get = loit_map.get
         rdv_process = rdv.process
         rdv_tick = rdv.tick
-        for p in active_l:
+        for i, p in enumerate(active_l):
             r = reports[p]
             if ex_l[p]:
                 if pending:
@@ -1190,7 +1261,18 @@ class MobilityPipeline:
                 events = ex.process(r)
                 result.simple_events.extend(events)
             else:
+                # Proximity events read no extractor state (the join
+                # carries the as-of reports) and are no-ops for the
+                # rendezvous detector: no flush, and `events` stays empty
+                # so only the tick the scalar order implies runs below.
                 events = ()
+                lo, hi = prox_start[i], prox_start[i + 1]
+                if lo < hi:
+                    near = ex._scalar_proximity(r, prox_other[lo:hi])
+                    if near:
+                        result.simple_events.extend(near)
+                        if obs:
+                            ex._events_counter.inc(len(near))
             if coll_l[p]:
                 if pending:
                     _flush_pending()

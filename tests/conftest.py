@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.geo.bbox import BBox
@@ -12,6 +14,7 @@ from repro.sources.generators import (
     MaritimeTrafficGenerator,
     TrafficSample,
 )
+from repro.sources.world import MaritimeWorld
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +22,21 @@ def maritime_sample() -> TrafficSample:
     """A small deterministic maritime sample shared across tests."""
     generator = MaritimeTrafficGenerator(seed=42)
     return generator.generate(n_vessels=6, max_duration_s=3600.0)
+
+
+@pytest.fixture(scope="session")
+def dense_maritime_sample() -> TrafficSample:
+    """24 vessels leaving within two minutes on four lanes (six to a lane).
+
+    Every vessel is at sea for the whole 15 minutes, so over 99 % of the
+    records have another vessel inside the proximity radius: the fleet
+    the columnar proximity emission is differentially tested on.
+    """
+    world = MaritimeWorld.aegean()
+    world = dataclasses.replace(world, routes=world.routes[:4])
+    return MaritimeTrafficGenerator(world=world, seed=17).generate(
+        n_vessels=24, max_duration_s=900.0, departure_spread_s=120.0
+    )
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,11 @@ the equivalence contract from every angle the contract names:
   streams make the draw sequences ordering-invariant);
 - a crash mid-stream, checkpointed at batch boundaries, resumed with a
   *different* batch size — still byte-identical to an uninterrupted
-  per-record run.
+  per-record run;
+- complete ``SimpleEvent`` equality (every field, in per-record order —
+  ``deterministic_bytes`` keeps only type/entity/t) on a dense fleet,
+  where the columnar core emits proximity events from its pair join
+  instead of replaying the scalar extractor.
 
 The workload carries >= PREFILTER_MIN_ZONES zones so the grid-backed
 :class:`~repro.geo.zone_index.ZoneIndex` prefilter is exercised, not
@@ -24,9 +28,10 @@ bypassed.
 
 import itertools
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.pipeline import BatchOptions, CheckpointOptions, MobilityPipeline
@@ -34,6 +39,7 @@ from repro.core.recordbatch import recordbatches
 from repro.geo.bbox import BBox
 from repro.geo.polygon import Polygon
 from repro.geo.zone_index import PREFILTER_MIN_ZONES
+from repro.model.reports import PositionReport
 from repro.runtime.worker import _BatchCrashInjector
 from repro.sources.generators import MaritimeTrafficGenerator
 from repro.streams.chaos import ChaosConfig, InjectedCrash, RetryPolicy
@@ -165,8 +171,9 @@ class TestBatchEqualsPerRecord:
 
         Read-path counters (``store.match_calls`` etc.) are excluded:
         other tests in this module query the shared baseline store. So
-        are the ``pipeline.path.*`` counters, which record how batches
-        were executed, not what the records contained.
+        are the ``pipeline.path.*``, ``pipeline.columnar.*`` and
+        ``pipeline.replay.*`` counters, which record how batches were
+        executed, not what the records contained.
         """
 
         def ingest_counters(pipeline):
@@ -174,7 +181,9 @@ class TestBatchEqualsPerRecord:
                 k: v
                 for k, v in pipeline.metrics.counters().items()
                 if k not in ("store.match_calls", "store.partition_scans")
-                and not k.startswith("pipeline.path.")
+                and not k.startswith(
+                    ("pipeline.path.", "pipeline.columnar.", "pipeline.replay.")
+                )
             }
 
         base_pipeline, __ = per_record
@@ -262,11 +271,14 @@ class TestPathSelection:
 
 
 class TestBatchCrashRestartDifferential:
-    def _crash_and_resume(self, sample, reports, zones, batch_size, chaos=None):
+    def _crash_and_resume(
+        self, sample, reports, zones, batch_size, chaos=None, crash_after=None
+    ):
         kwargs = {"chaos": chaos} if chaos else {}
         store = InMemoryCheckpointStore()
         crashed = _pipeline(sample, zones, **kwargs)
-        crash_after = len(reports) * 2 // 3
+        if crash_after is None:
+            crash_after = len(reports) * 2 // 3
         with pytest.raises(InjectedCrash):
             crashed.run(
                 recordbatches(
@@ -316,6 +328,177 @@ class TestBatchCrashRestartDifferential:
         )
         assert actual.deterministic_bytes() == expected.deterministic_bytes()
         assert _store_contents(fresh) == _store_contents(base_pipeline)
+
+
+def _replay_counters(pipeline):
+    return {
+        k.removeprefix("pipeline."): v
+        for k, v in pipeline.metrics.counters().items()
+        if k.startswith(("pipeline.columnar.", "pipeline.replay."))
+    }
+
+
+def _cluster(ids, rounds, lon=24.0, lat=37.0, t0=0.0):
+    """Entity ``ids[k]`` steams east at 5 m/s, 100 m north of ``ids[k - 1]``,
+    reporting every 10 s in the rounds ``rounds(k)`` allows — everyone is
+    within the proximity radius of everyone, so what varies per record is
+    only who is still *fresh*."""
+    step = 50.0 / (111_194.0 * 0.8)
+    return sorted(
+        (
+            PositionReport(
+                entity_id=eid,
+                t=t0 + 10.0 * r + 0.01 * k,
+                lon=lon + step * r,
+                lat=lat + 0.0009 * k,
+                speed=5.0,
+                heading=90.0,
+            )
+            for k, eid in enumerate(ids)
+            for r in rounds(k)
+        ),
+        key=lambda r: r.t,
+    )
+
+
+_CLUSTER_WORLD = SimpleNamespace(
+    world=SimpleNamespace(bbox=BBox(23.0, 36.0, 26.0, 38.0)), registry=None
+)
+
+
+class TestDenseProximityEmission:
+    """The columnar core emits proximity events from its as-of pair join.
+
+    Everything a ``SimpleEvent`` carries — ``other``, ``distance_m``,
+    position, severity — and the order of one record's events must equal
+    what ``process_report`` produces, while almost no record replays the
+    scalar extractor.
+    """
+
+    @pytest.fixture(scope="class")
+    def dense(self, dense_maritime_sample):
+        sample = dense_maritime_sample
+        reports = sorted(sample.reports, key=lambda r: r.t)
+        zones = list(sample.world.zones)
+        pipeline = _pipeline(sample, zones)
+        return sample, reports, zones, pipeline, pipeline.run(reports)
+
+    def test_fixture_is_dense(self, dense):
+        sample, reports, __, __, expected = dense
+        assert len(sample.registry) >= 20
+        raising = {
+            (e.entity_id, e.t)
+            for e in expected.simple_events
+            if e.event_type == "proximity"
+        }
+        assert len(raising) >= 0.9 * expected.reports_clean
+
+    @pytest.mark.parametrize("batch_size", (16, 17, 256, "mixed"))
+    def test_complete_simple_events_identical(self, dense, batch_size):
+        sample, reports, zones, __, expected = dense
+        actual = _run_in_batches(_pipeline(sample, zones), reports, batch_size)
+        assert actual.simple_events == expected.simple_events
+        assert actual.deterministic_bytes() == expected.deterministic_bytes()
+
+    @pytest.mark.parametrize("batch_size", (64, "mixed"))
+    def test_resumed_run_emits_identical_events(self, dense, batch_size):
+        """The crash lands mid-batch; the suffix re-batches off the grid."""
+        sample, reports, zones, base_pipeline, expected = dense
+        # 1390: inside a batch at both sizes, and short of the next
+        # checkpoint multiple so the crash costs progress.
+        fresh, actual = TestBatchCrashRestartDifferential()._crash_and_resume(
+            sample, reports, zones, batch_size, crash_after=1390
+        )
+        assert actual.simple_events == expected.simple_events
+        assert actual.deterministic_bytes() == expected.deterministic_bytes()
+        assert _store_contents(fresh) == _store_contents(base_pipeline)
+
+    def test_content_counters_and_replay_ratio(self, dense):
+        sample, reports, zones, base_pipeline, __ = dense
+        pipeline = _pipeline(sample, zones)
+        pipeline.run(reports, batch=BatchOptions(size=256))
+        assert (
+            pipeline.metrics.counters()["cep.simple_events"]
+            == base_pipeline.metrics.counters()["cep.simple_events"]
+        )
+        counters = _replay_counters(pipeline)
+        assert counters["columnar.records"] == len(reports)
+        # The guard must not regress to replay-everything.
+        assert counters["replay.extractor"] < 0.05 * counters["columnar.records"]
+        assert _replay_counters(base_pipeline) == {}
+
+    def test_vector_kernel_rows_fall_back(self):
+        """With >= 16 fresh candidates the scalar path takes distances from
+        the vector kernel, so those rows replay — counted; below, they emit."""
+        # Entity k falls silent after round 40 - k: every record's fresh
+        # count sinks from 19 through the threshold to 0.
+        reports = _cluster(
+            [f"C{k:02d}" for k in range(20)], lambda k: range(40 - k)
+        )
+        expected = _pipeline(_CLUSTER_WORLD, ()).run(reports)
+        pipeline = _pipeline(_CLUSTER_WORLD, ())
+        actual = pipeline.run(reports, batch=BatchOptions(size=64))
+        assert actual.simple_events == expected.simple_events
+        assert actual.deterministic_bytes() == expected.deterministic_bytes()
+        counters = _replay_counters(pipeline)
+        fell_back = counters["replay.proximity_vector_kernel"]
+        assert 0 < fell_back < counters["columnar.records"]
+        assert fell_back <= counters["replay.extractor"]
+        per_record = Counter(
+            (e.entity_id, e.t)
+            for e in expected.simple_events
+            if e.event_type == "proximity"
+        )
+        assert max(per_record.values()) >= 16 > min(per_record.values())
+
+    def test_new_entity_mid_batch_ranks_after_old_ones(self):
+        """One record's events follow latest-map insertion order: entities
+        known before the batch first (whatever their order *in* the
+        batch, and whether or not they are in it), then new ones by first
+        appearance."""
+        old = _cluster(["Z1", "Y2", "X3"], lambda k: range(8))
+        # The second batch opens with Y2 (vocabulary order != insertion
+        # order), never contains X3 (still fresh), and meets B5 then A4
+        # for the first time in its middle.
+        late = _cluster(["Y2", "Z1", "B5", "A4"], lambda k: range(8, 14))
+        late = [r for r in late if r.entity_id in ("Y2", "Z1") or r.t > 95.0]
+        reports = old + late
+        assert [len(old), len(late)] == [24, 20]
+        expected = _pipeline(_CLUSTER_WORLD, ()).run(reports)
+        actual = _pipeline(_CLUSTER_WORLD, ()).run(
+            recordbatches(iter([old, late]))
+        )
+        assert actual.simple_events == expected.simple_events
+        probe = next(r for r in reversed(late) if r.entity_id == "Z1")
+        assert [
+            e.attributes["other"]
+            for e in actual.simple_events
+            if (e.entity_id, e.t) == ("Z1", probe.t)
+        ] == ["Y2", "X3", "B5", "A4"]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        start=st.integers(min_value=0, max_value=1500),
+        length=st.integers(min_value=40, max_value=160),
+        replays=st.lists(
+            st.tuples(st.integers(0, 159), st.integers(0, 159)), max_size=12
+        ),
+        batch_size=st.integers(min_value=16, max_value=48),
+    )
+    @example(start=600, length=64, replays=[(0, 40), (1, 41), (2, 42)], batch_size=16)
+    def test_reingested_and_out_of_order_records(
+        self, dense, start, length, replays, batch_size
+    ):
+        """Re-ingested records are dropped by the cleaners, so an entity can
+        sit in a batch's vocabulary with zero active rows."""
+        sample, reports, zones, __, __ = dense
+        window = list(reports[start : start + length])
+        for src, dst in replays:
+            window.insert(dst % (len(window) + 1), window[src % len(window)])
+        expected = _pipeline(sample, zones).run(window)
+        actual = _pipeline(sample, zones).run(window, batch=BatchOptions(size=batch_size))
+        assert actual.simple_events == expected.simple_events
+        assert actual.deterministic_bytes() == expected.deterministic_bytes()
 
 
 class TestCompiledEmitterDifferential:

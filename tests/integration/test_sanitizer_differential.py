@@ -5,7 +5,8 @@ additionally proves the agreement was produced without touching ambient
 nondeterminism: inside :func:`repro.analysis.sanitizer.determinism_sanitizer`
 every wall-clock read, global-RNG draw, and ``datetime.now`` raises
 (the ``repro.obs`` measurement boundary excepted). If any tier of the
-pipeline — ingest, CEP, RDF emission, checkpoint/restore — ever grows a
+pipeline — ingest, CEP (including the columnar core's proximity
+emission, on a dense fleet), RDF emission, checkpoint/restore — ever grows a
 hidden clock or RNG dependency, this suite fails with the exact call
 site in the traceback, complementing rule D4's static call-chain proof.
 
@@ -75,6 +76,19 @@ class TestSanitizedDifferential:
             resumed_result.deterministic_bytes()
             == uninterrupted.deterministic_bytes()
         )
+
+    def test_dense_columnar_emission_under_sanitizer(self, dense_maritime_sample):
+        """Batches of 256 over a dense fleet: the columnar core's pair join
+        emits the proximity events (the arms above stay under its
+        16-record threshold or raise almost none)."""
+        dense = sorted(dense_maritime_sample.reports, key=lambda r: r.t)
+        with determinism_sanitizer():
+            expected = _pipeline(dense_maritime_sample).run(dense)
+            actual = _pipeline(dense_maritime_sample).run(
+                dense, batch=BatchOptions(size=256)
+            )
+        assert actual.simple_events == expected.simple_events
+        assert actual.deterministic_bytes() == expected.deterministic_bytes()
 
     def test_sanitizer_would_catch_a_violation(self, sample, reports):
         """The arm is live: an injected clock read fails loudly."""
