@@ -9,8 +9,9 @@ analytics"; fault tolerance must not eat that budget. Measures:
   of the stream vs rerunning from scratch, with the work saved.
 
 Expected shape: overhead grows as the interval shrinks (each barrier
-deep-copies all operator state, dominated by the RDF store); resume time
-stays well under a full rerun and saves ~ the checkpointed prefix.
+serializes all operator state in one ``pickle.dumps``, dominated by the
+RDF store and its dictionary); resume time stays well under a full rerun
+and saves ~ the checkpointed prefix.
 """
 
 import time

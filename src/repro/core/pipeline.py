@@ -18,9 +18,9 @@ store/query layer for follow-up analysis.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
+import pickle
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
@@ -1626,13 +1626,21 @@ class MobilityPipeline:
             return self._finalize(run_started)
 
         def save(at_offset: int) -> None:
+            started = monotonic()
+            payload = self.snapshot()
             cp_store.save(
                 Checkpoint(
                     checkpoint_id=cp_store.next_id(),
                     source_offset=at_offset,
-                    states=self.snapshot(),
+                    states=payload,
                 )
             )
+            # Execution accounting like pipeline.path.*; recorded after
+            # the snapshot, so a payload never carries its own cost.
+            self.metrics.histogram("pipeline.checkpoint.save").record(
+                monotonic() - started
+            )
+            self.metrics.counter("pipeline.checkpoint.bytes").inc(len(payload))
 
         if isinstance(first, RecordBatch) or batch is not None:
             batches: Iterable[Any] = itertools.chain((first,), stream)
@@ -1732,37 +1740,41 @@ class MobilityPipeline:
     )
 
     # lint: allow[C1] per-record transients (_trace_this_record, _record_faulted, _record_end) are dead at the record-boundary barrier; _lat_buf is drained into the checkpointed registry by _flush_latency() below
-    def snapshot(self) -> dict[str, Any]:
-        """Deep-copy every stateful component into a checkpoint payload.
+    def snapshot(self) -> bytes:
+        """Serialize every stateful component into a checkpoint payload.
 
-        One deepcopy call over the whole component dict, so references
+        One ``pickle.dumps`` over the whole component dict, so references
         shared *between* components — notably the observability registry,
         whose instruments the store, synopses and extractor all hold —
-        stay shared inside the snapshot. Buffered latency samples and
+        are memoized once and stay shared inside the payload. The bytes
+        alias no live state: the pipeline can keep ingesting and a store
+        can write them out as they are. Buffered latency samples and
         deferred synopses counters are flushed first so the checkpointed
         registry reflects every record processed so far.
         """
         self._flush_latency()
         if self.metrics.enabled:
             self._synopses.publish_metrics()
-        return copy.deepcopy(
-            {name: getattr(self, name) for name in self._STATEFUL_COMPONENTS}
+        return pickle.dumps(
+            {name: getattr(self, name) for name in self._STATEFUL_COMPONENTS},
+            protocol=pickle.HIGHEST_PROTOCOL,
         )
 
     # lint: allow[C1] per-record transients (_trace_this_record, _record_faulted, _record_end) are reinitialized per record; resume always starts at a record boundary
-    def restore(self, states: dict[str, Any]) -> None:
+    def restore(self, payload: bytes) -> None:
         """Reinstate a :meth:`snapshot` payload on a compatibly-built pipeline.
 
-        The payload is copied in, so the stored checkpoint stays pristine
-        and can serve further resume attempts. The copy is again a single
-        deepcopy, preserving cross-component sharing (one registry).
+        One ``pickle.loads`` builds fresh objects (cross-component sharing
+        included), so the payload itself is never touched and can serve
+        any number of further resume attempts. Only load payloads this
+        program wrote — unpickling runs code.
         """
+        states = pickle.loads(payload)
         missing = [n for n in self._STATEFUL_COMPONENTS if n not in states]
         if missing:
             raise KeyError(f"checkpoint is missing component state: {missing}")
-        copied = copy.deepcopy(states)
         for name in self._STATEFUL_COMPONENTS:
-            setattr(self, name, copied[name])
+            setattr(self, name, states[name])
         self.executor = QueryExecutor(self.store, metrics=self.metrics)
         # Cached obs state follows the restored registry; unflushed samples
         # from after the checkpoint was taken must not leak into it.

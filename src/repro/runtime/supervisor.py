@@ -198,6 +198,13 @@ class _ShardRunner(threading.Thread):
         self, handle: WorkerHandle
     ) -> "tuple[PipelineResult, MetricsRegistry]":
         start_offset = self._await_ready(handle)
+        # A first incarnation resuming a previous run's checkpoint starts
+        # past records this feeder never admitted: admit that prefix into
+        # the log unsent, or the worker would be fed record 0 as record
+        # ``start_offset``.
+        while len(self._admitted) < start_offset:
+            if not self._next_batch(len(self._admitted)):
+                break
         pos = start_offset
         while True:
             batch = self._next_batch(pos)

@@ -7,11 +7,11 @@ from a bounded input queue until the end-of-stream sentinel. Every
 ``checkpoint_interval`` records it barrier-checkpoints the whole pipeline
 into its shard's :class:`~repro.streams.checkpoint.FileCheckpointStore`,
 so a crash loses at most one interval of work: the supervisor respawns
-the shard with ``resume=True``, the fresh incarnation restores the latest
-snapshot, reports the restored offset back (the ``ready`` message), and
-the feeder replays exactly the unprocessed suffix — offset-replay dedup,
-same contract as :meth:`MobilityPipeline.run` with
-``CheckpointOptions(resume=True)``.
+the shard with ``resume=True``, the fresh incarnation restores the newest
+snapshot that passes its integrity check, reports the restored offset
+back (the ``ready`` message), and the feeder replays exactly the
+unprocessed suffix — offset-replay dedup, same contract as
+:meth:`MobilityPipeline.run` with ``CheckpointOptions(resume=True)``.
 
 Everything here is spawn-safe: the entry point is a module-level
 function, the spec is immutable data, and no state is inherited from the
@@ -165,6 +165,12 @@ def worker_main(
         if checkpoint is not None:
             pipeline.restore(checkpoint.states)
             start_offset = checkpoint.source_offset
+        if store.corrupt_skipped:
+            # After the restore (which replaces the registry), so the
+            # count reaches the supervisor with this incarnation's result.
+            pipeline.metrics.counter("pipeline.checkpoint.corrupt_skipped").inc(
+                store.corrupt_skipped
+            )
     out_queue.put(("ready", spec.shard_id, start_offset))
 
     try:

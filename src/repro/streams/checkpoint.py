@@ -12,7 +12,10 @@ module provides the recovery substrate:
   the single-process analogue of a barrier-aligned consistent snapshot;
 - :class:`CheckpointStore` backends: :class:`InMemoryCheckpointStore` for
   tests/benchmarks and :class:`FileCheckpointStore` persisting pickled
-  checkpoints to a directory.
+  checkpoints to a directory, each behind a SHA-256 of its bytes — a
+  truncated or bit-flipped file raises :class:`CheckpointCorruptError`
+  and :meth:`CheckpointStore.latest` falls back to the newest checkpoint
+  that still verifies.
 
 Recovery replays the source suffix from the stored offset (see
 :class:`repro.streams.replay.ReplayLog`); skipping the already-consumed
@@ -22,7 +25,9 @@ produces outputs and counts identical to an uninterrupted run.
 
 from __future__ import annotations
 
+import bisect
 import copy
+import hashlib
 import os
 import pickle
 from dataclasses import dataclass
@@ -82,37 +87,58 @@ class Checkpoint:
             (use :meth:`CheckpointStore.next_id`).
         source_offset: Number of source records fully processed when the
             snapshot was taken. Resume skips exactly this prefix.
-        states: Operator states keyed by a stable stage id. The payload
-            must be self-contained (deep-copied), never aliased to live
-            operator state.
+        states: The state payload, opaque to the stores: operator states
+            keyed by a stable stage id (streams tier) or the bytes of
+            :meth:`repro.core.pipeline.MobilityPipeline.snapshot`. It
+            must be self-contained (serialized or deep-copied), never
+            aliased to live operator state.
     """
 
     checkpoint_id: int
     source_offset: int
-    states: dict[str, Any]
+    states: Any
 
     def __post_init__(self) -> None:
         if self.source_offset < 0:
             raise ValueError("source_offset must be >= 0")
 
 
+class CheckpointCorruptError(ValueError):
+    """A stored checkpoint is truncated, altered or unreadable."""
+
+
 class CheckpointStore:
     """Interface for checkpoint persistence backends."""
+
+    #: Stored checkpoints :meth:`latest` passed over because they failed
+    #: their integrity check.
+    corrupt_skipped: int = 0
 
     def save(self, checkpoint: Checkpoint) -> None:
         """Persist one checkpoint (and apply the retention policy)."""
         raise NotImplementedError
 
     def load(self, checkpoint_id: int) -> Checkpoint:
-        """Load a checkpoint by id; raises ``KeyError`` when absent."""
+        """Load a checkpoint by id.
+
+        Raises ``KeyError`` when absent and
+        :class:`CheckpointCorruptError` when it fails verification.
+        """
         raise NotImplementedError
 
     def latest(self) -> Checkpoint | None:
-        """The checkpoint with the highest id, or ``None`` when empty."""
-        ids = self.checkpoint_ids()
-        if not ids:
-            return None
-        return self.load(ids[-1])
+        """The newest checkpoint that verifies, or ``None`` when none does.
+
+        Resuming from an older checkpoint only replays a longer suffix,
+        so a corrupt newest checkpoint costs work, never correctness;
+        each one passed over is counted in :attr:`corrupt_skipped`.
+        """
+        for checkpoint_id in reversed(self.checkpoint_ids()):
+            try:
+                return self.load(checkpoint_id)
+            except CheckpointCorruptError:
+                self.corrupt_skipped += 1
+        return None
 
     def checkpoint_ids(self) -> list[int]:
         """All stored checkpoint ids, ascending."""
@@ -146,15 +172,22 @@ class InMemoryCheckpointStore(CheckpointStore):
 
 
 class FileCheckpointStore(CheckpointStore):
-    """Pickles checkpoints to ``<directory>/checkpoint-<id>.pkl``.
+    """Writes checkpoints to ``<directory>/checkpoint-<id>.pkl``.
 
-    Survives process crashes: a fresh process pointed at the same
-    directory sees the previous run's checkpoints. States must therefore
-    be picklable (the built-in operator snapshots are).
+    Survives process crashes: a fresh store opened on the same directory
+    sees the previous run's checkpoints. States must therefore be
+    picklable (the built-in operator snapshots are; a pipeline snapshot
+    is already bytes, so pickling it is a buffer copy). A file is the
+    SHA-256 of the pickled checkpoint followed by the pickle itself.
+
+    One writer per directory: the directory is listed once, at open
+    (sweeping ``*.tmp`` files a crash mid-write left behind), and the id
+    list is kept in memory from then on.
     """
 
     _PREFIX = "checkpoint-"
     _SUFFIX = ".pkl"
+    _DIGEST_BYTES = hashlib.sha256().digest_size
 
     def __init__(self, directory: str, retain: int = 3) -> None:
         if retain <= 0:
@@ -162,30 +195,51 @@ class FileCheckpointStore(CheckpointStore):
         self._dir = directory
         self._retain = retain
         os.makedirs(directory, exist_ok=True)
+        self._ids: list[int] = []
+        for name in os.listdir(directory):
+            if not name.startswith(self._PREFIX):
+                continue
+            if name.endswith(self._SUFFIX + ".tmp"):
+                os.remove(os.path.join(directory, name))
+            elif name.endswith(self._SUFFIX):
+                self._ids.append(int(name[len(self._PREFIX) : -len(self._SUFFIX)]))
+        self._ids.sort()
 
     def _path(self, checkpoint_id: int) -> str:
         return os.path.join(self._dir, f"{self._PREFIX}{checkpoint_id}{self._SUFFIX}")
 
     def save(self, checkpoint: Checkpoint) -> None:
+        body = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
         # Write-then-rename so a crash mid-write never leaves a truncated
-        # checkpoint that a recovery would try to load.
+        # file under a checkpoint's name.
         tmp = self._path(checkpoint.checkpoint_id) + ".tmp"
         with open(tmp, "wb") as fh:
-            pickle.dump(checkpoint, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            fh.write(hashlib.sha256(body).digest())
+            fh.write(body)
         os.replace(tmp, self._path(checkpoint.checkpoint_id))
-        for stale in self.checkpoint_ids()[: -self._retain]:
-            os.remove(self._path(stale))
+        if checkpoint.checkpoint_id not in self._ids:
+            bisect.insort(self._ids, checkpoint.checkpoint_id)
+        while len(self._ids) > self._retain:
+            os.remove(self._path(self._ids.pop(0)))
 
     def load(self, checkpoint_id: int) -> Checkpoint:
         path = self._path(checkpoint_id)
-        if not os.path.exists(path):
-            raise KeyError(checkpoint_id)
-        with open(path, "rb") as fh:
-            return pickle.load(fh)
+        try:
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        except FileNotFoundError:
+            raise KeyError(checkpoint_id) from None
+        except OSError as exc:
+            raise CheckpointCorruptError(f"{path}: unreadable ({exc})") from exc
+        digest, body = blob[: self._DIGEST_BYTES], blob[self._DIGEST_BYTES :]
+        if (
+            len(digest) < self._DIGEST_BYTES
+            or hashlib.sha256(body).digest() != digest
+        ):
+            raise CheckpointCorruptError(
+                f"{path}: SHA-256 mismatch over {len(body)} bytes"
+            )
+        return pickle.loads(body)
 
     def checkpoint_ids(self) -> list[int]:
-        ids: list[int] = []
-        for name in os.listdir(self._dir):
-            if name.startswith(self._PREFIX) and name.endswith(self._SUFFIX):
-                ids.append(int(name[len(self._PREFIX) : -len(self._SUFFIX)]))
-        return sorted(ids)
+        return list(self._ids)

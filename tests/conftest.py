@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import pytest
 
@@ -81,3 +82,26 @@ def climb_track() -> Trajectory:
 def unit_bbox() -> BBox:
     """A 1°x1° box used by geometry tests."""
     return BBox(24.0, 37.0, 25.0, 38.0)
+
+
+def _truncate(path: str) -> None:
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) // 2)
+
+
+def _bit_flip(path: str) -> None:
+    with open(path, "r+b") as fh:
+        fh.seek(os.path.getsize(path) // 2)
+        byte = fh.read(1)
+        fh.seek(-1, os.SEEK_CUR)
+        fh.write(bytes([byte[0] ^ 0x10]))
+
+
+def _empty(path: str) -> None:
+    open(path, "wb").close()
+
+
+@pytest.fixture(params=[_truncate, _bit_flip, _empty])
+def damage_file(request):
+    """One way a stored checkpoint file goes bad; call it with the path."""
+    return request.param

@@ -171,9 +171,10 @@ class TestBatchEqualsPerRecord:
 
         Read-path counters (``store.match_calls`` etc.) are excluded:
         other tests in this module query the shared baseline store. So
-        are the ``pipeline.path.*``, ``pipeline.columnar.*`` and
-        ``pipeline.replay.*`` counters, which record how batches were
-        executed, not what the records contained.
+        are the ``pipeline.path.*``, ``pipeline.columnar.*``,
+        ``pipeline.replay.*`` and ``pipeline.checkpoint.*`` counters,
+        which record how batches were executed (and what checkpointing
+        them cost), not what the records contained.
         """
 
         def ingest_counters(pipeline):
@@ -182,7 +183,12 @@ class TestBatchEqualsPerRecord:
                 for k, v in pipeline.metrics.counters().items()
                 if k not in ("store.match_calls", "store.partition_scans")
                 and not k.startswith(
-                    ("pipeline.path.", "pipeline.columnar.", "pipeline.replay.")
+                    (
+                        "pipeline.path.",
+                        "pipeline.columnar.",
+                        "pipeline.replay.",
+                        "pipeline.checkpoint.",
+                    )
                 )
             }
 

@@ -1,0 +1,245 @@
+"""The serialize-once checkpoint contract, and what protects it on disk.
+
+A pipeline checkpoint is *bytes*: ``MobilityPipeline.snapshot()`` is one
+``pickle.dumps`` and ``restore()`` one ``pickle.loads``. That buys three
+properties this file pins:
+
+- **isolation** — a payload aliases no live state, so it can be restored
+  any number of times and every continuation equals an uninterrupted run;
+- **no object-graph copy** — neither direction reaches ``copy.deepcopy``;
+- **store independence** — crash-resume through the in-memory and the
+  file store yields the same bytes.
+
+And because the payload is bytes, the file store can check it: a
+truncated, bit-flipped or unreadable file raises
+``CheckpointCorruptError`` and resume falls back to the newest checkpoint
+that verifies.
+
+Every test runs inside ``determinism_sanitizer()`` (CI runs this file in
+its "Sanitizer differential arm" step as well): checkpointing must not
+grow a clock or global-RNG dependency outside ``repro.obs``.
+"""
+
+import copy
+import os
+import pickle
+
+import pytest
+
+from repro.analysis.sanitizer import determinism_sanitizer
+from repro.core.pipeline import BatchOptions, CheckpointOptions, MobilityPipeline
+from repro.obs.metrics import MetricsRegistry
+from repro.sources.generators import MaritimeTrafficGenerator
+from repro.streams.chaos import CrashInjector, InjectedCrash
+from repro.streams.checkpoint import (
+    Checkpoint,
+    CheckpointCorruptError,
+    FileCheckpointStore,
+    InMemoryCheckpointStore,
+)
+from repro.streams.replay import ReplayLog
+
+
+@pytest.fixture(autouse=True)
+def sanitized():
+    with determinism_sanitizer():
+        yield
+
+
+@pytest.fixture(scope="module")
+def sample():
+    return MaritimeTrafficGenerator(seed=31).generate(
+        n_vessels=5, max_duration_s=1800.0
+    )
+
+
+@pytest.fixture(scope="module")
+def reports(sample):
+    return sorted(sample.reports, key=lambda r: r.t)
+
+
+def _pipeline(sample, **kwargs):
+    return MobilityPipeline(
+        bbox=sample.world.bbox,
+        registry=sample.registry,
+        zones=sample.world.zones,
+        **kwargs,
+    )
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(sample, reports):
+    return _pipeline(sample).run(reports, batch=BatchOptions(size=64))
+
+
+def _crash_then_resume(sample, reports, store, crash_after):
+    crashed = _pipeline(sample)
+    with pytest.raises(InjectedCrash):
+        crashed.run(
+            CrashInjector(reports, crash_after=crash_after),
+            batch=BatchOptions(size=64),
+            checkpoints=CheckpointOptions(store=store, interval=100),
+        )
+    return _pipeline(sample).run(
+        ReplayLog(reports),
+        batch=BatchOptions(size=64),
+        checkpoints=CheckpointOptions(store=store, resume=True),
+    )
+
+
+class TestPayloadContract:
+    def test_payload_is_bytes(self, sample, reports):
+        pipeline = _pipeline(sample)
+        pipeline.run(reports[:50])
+        assert isinstance(pipeline.snapshot(), bytes)
+
+    def test_one_payload_restores_twice(self, sample, reports, uninterrupted):
+        """Neither later ingest nor an earlier restore can touch a payload."""
+        cut = len(reports) // 3
+        origin = _pipeline(sample)
+        for batch_start in range(0, cut, 64):
+            origin.process_batch(reports[batch_start : min(batch_start + 64, cut)])
+        payload = origin.snapshot()
+        # The snapshotting pipeline keeps going — into state the payload
+        # must not share.
+        origin.process_batch(reports[cut : cut + 200])
+
+        digests = []
+        for __ in range(2):
+            target = _pipeline(sample)
+            target.restore(payload)
+            result = target.run(reports[cut:], batch=BatchOptions(size=64))
+            digests.append(result.deterministic_digest())
+        assert digests == [uninterrupted.deterministic_digest()] * 2
+
+    def test_snapshot_restore_never_deepcopy(
+        self, sample, reports, uninterrupted, monkeypatch
+    ):
+        calls = []
+
+        def counting_deepcopy(obj, memo=None):
+            calls.append(type(obj).__name__)
+            raise AssertionError("checkpointing reached copy.deepcopy")
+
+        monkeypatch.setattr(copy, "deepcopy", counting_deepcopy)
+        result = _crash_then_resume(
+            sample, reports, InMemoryCheckpointStore(), len(reports) // 2
+        )
+        assert calls == []
+        assert result.deterministic_digest() == uninterrupted.deterministic_digest()
+
+    def test_restore_rejects_payload_missing_a_component(self, sample):
+        pipeline = _pipeline(sample)
+        states = pickle.loads(pipeline.snapshot())
+        del states["store"]
+        with pytest.raises(KeyError, match="store"):
+            pipeline.restore(pickle.dumps(states))
+
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    def test_crash_resume_identical_through_either_store(
+        self, sample, reports, uninterrupted, backend, tmp_path
+    ):
+        store = (
+            InMemoryCheckpointStore()
+            if backend == "memory"
+            else FileCheckpointStore(str(tmp_path))
+        )
+        result = _crash_then_resume(sample, reports, store, len(reports) * 2 // 3)
+        assert 0 < store.latest().source_offset <= len(reports) * 2 // 3
+        assert result.deterministic_bytes() == uninterrupted.deterministic_bytes()
+
+
+class TestCheckpointCostIsVisible:
+    def test_save_latency_and_bytes_recorded(self, sample, reports, uninterrupted):
+        store = InMemoryCheckpointStore(retain=1000)
+        pipeline = _pipeline(sample, metrics=MetricsRegistry(seed=3))
+        result = pipeline.run(
+            reports,
+            batch=BatchOptions(size=64),
+            checkpoints=CheckpointOptions(store=store, interval=100),
+        )
+        saved = [store.load(i) for i in store.checkpoint_ids()]
+        assert len(saved) > 3
+        assert pipeline.metrics.histogram("pipeline.checkpoint.save").count == len(saved)
+        assert pipeline.metrics.counters()["pipeline.checkpoint.bytes"] == sum(
+            len(c.states) for c in saved
+        )
+        # Execution accounting: what the run produced is unchanged.
+        assert result.deterministic_bytes() == uninterrupted.deterministic_bytes()
+
+    def test_disabled_registry_records_nothing(self, sample, reports):
+        pipeline = _pipeline(sample, metrics=MetricsRegistry(enabled=False))
+        pipeline.run(
+            reports[:300],
+            checkpoints=CheckpointOptions(
+                store=InMemoryCheckpointStore(), interval=100
+            ),
+        )
+        assert pipeline.metrics.counters() == {}
+
+
+class TestFailClosed:
+    @pytest.fixture()
+    def crashed_dir(self, sample, reports, tmp_path):
+        directory = str(tmp_path)
+        with pytest.raises(InjectedCrash):
+            _pipeline(sample).run(
+                CrashInjector(reports, crash_after=len(reports) * 2 // 3),
+                batch=BatchOptions(size=64),
+                checkpoints=CheckpointOptions(
+                    store=FileCheckpointStore(directory), interval=100
+                ),
+            )
+        return directory
+
+    def test_damaged_newest_falls_back_to_previous(
+        self, sample, reports, uninterrupted, crashed_dir, damage_file
+    ):
+        store = FileCheckpointStore(crashed_dir)
+        newest, previous = store.checkpoint_ids()[-1], store.checkpoint_ids()[-2]
+        damage_file(store._path(newest))
+
+        with pytest.raises(CheckpointCorruptError):
+            store.load(newest)
+        assert store.latest().checkpoint_id == previous
+        assert store.corrupt_skipped == 1
+
+        reopened = FileCheckpointStore(crashed_dir)
+        result = _pipeline(sample).run(
+            ReplayLog(reports),
+            batch=BatchOptions(size=64),
+            checkpoints=CheckpointOptions(store=reopened, resume=True),
+        )
+        assert reopened.corrupt_skipped == 1
+        assert result.deterministic_bytes() == uninterrupted.deterministic_bytes()
+
+    def test_nothing_verifies_means_nothing_to_resume(
+        self, sample, reports, crashed_dir, damage_file
+    ):
+        store = FileCheckpointStore(crashed_dir)
+        for checkpoint_id in store.checkpoint_ids():
+            damage_file(store._path(checkpoint_id))
+        assert store.latest() is None
+        assert store.corrupt_skipped == len(store.checkpoint_ids())
+        with pytest.raises(ValueError, match="no checkpoint"):
+            _pipeline(sample).run(
+                reports, checkpoints=CheckpointOptions(store=store, resume=True)
+            )
+
+    def test_unreadable_is_corrupt(self, tmp_path):
+        store = FileCheckpointStore(str(tmp_path))
+        for checkpoint_id in (0, 1):
+            store.save(Checkpoint(checkpoint_id, source_offset=checkpoint_id, states=b"x"))
+        # A directory under the file's name: open() fails, but not as "absent".
+        os.remove(tmp_path / "checkpoint-1.pkl")
+        os.mkdir(tmp_path / "checkpoint-1.pkl")
+        with pytest.raises(CheckpointCorruptError, match="unreadable"):
+            store.load(1)
+        assert store.latest().checkpoint_id == 0
+
+    def test_absent_is_not_corrupt(self, tmp_path):
+        store = FileCheckpointStore(str(tmp_path))
+        store.save(Checkpoint(checkpoint_id=0, source_offset=0, states=b"x"))
+        with pytest.raises(KeyError):
+            store.load(7)
+        assert store.corrupt_skipped == 0

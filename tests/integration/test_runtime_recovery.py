@@ -17,6 +17,7 @@ import pytest
 from repro.core.pipeline import PipelineSpec
 from repro.runtime import RuntimeConfig, ShardFailedError, Supervisor
 from repro.sources.generators import MaritimeTrafficGenerator
+from repro.streams.checkpoint import FileCheckpointStore
 
 N_WORKERS = 3
 # Shard substream sizes for this stream at 3 shards are roughly
@@ -136,3 +137,79 @@ class TestRestartBudget:
         )
         with pytest.raises(ShardFailedError, match=f"shard {CRASH_SHARD}"):
             supervisor.run(reports)
+
+
+class TestCorruptCheckpointFallback:
+    """A damaged newest checkpoint costs replay, never correctness.
+
+    Shard 0 (the ~715-record substream) crashes with several checkpoints
+    behind it; before the supervisor restarts it, its newest checkpoint
+    file is damaged on disk.
+    """
+
+    VICTIM, VICTIM_CRASH_AFTER = 0, 500
+
+    def test_restart_resumes_from_previous_checkpoint(
+        self, spec, reports, uninterrupted, damage_file
+    ):
+        supervisor = Supervisor(
+            spec,
+            config(
+                batch_size=64,
+                crash_after={self.VICTIM: self.VICTIM_CRASH_AFTER},
+            ),
+        )
+        damaged = []
+        restart = supervisor.pool.restart
+
+        def damage_then_restart(dead):
+            # The victim is dead here, so its directory is quiescent.
+            store = FileCheckpointStore(dead.spec.checkpoint_dir)
+            ids = store.checkpoint_ids()
+            assert len(ids) >= 2
+            damage_file(store._path(ids[-1]))
+            damaged.append(dead.shard_id)
+            return restart(dead)
+
+        supervisor.pool.restart = damage_then_restart
+        result = supervisor.run(reports)
+
+        assert damaged == [self.VICTIM]
+        assert result.restarts_total == 1
+        assert result.deterministic_digest() == uninterrupted.deterministic_digest()
+        counters = supervisor.metrics.as_dict()["counters"]
+        assert {
+            name: value
+            for name, value in counters.items()
+            if name.endswith("pipeline.checkpoint.corrupt_skipped")
+        } == {
+            "pipeline.checkpoint.corrupt_skipped": 1,
+            f"worker{self.VICTIM}.pipeline.checkpoint.corrupt_skipped": 1,
+        }
+
+
+class TestResumeAcrossRuns:
+    def test_second_supervisor_continues_a_run_that_died(
+        self, spec, reports, uninterrupted, tmp_path
+    ):
+        """``resume=True`` on a kept directory: no record fed twice.
+
+        The finished shards resume from their last checkpoint too, so
+        every feeder has to skip a prefix its own log never admitted.
+        """
+        root = str(tmp_path)
+        with pytest.raises(ShardFailedError):
+            Supervisor(
+                spec,
+                config(
+                    batch_size=64,
+                    checkpoint_dir=root,
+                    crash_after={0: 500},
+                    max_restarts_per_shard=0,
+                ),
+            ).run(reports)
+        result = Supervisor(
+            spec, config(batch_size=64, checkpoint_dir=root, resume=True)
+        ).run(reports)
+        assert result.reports_in == len(reports)
+        assert result.deterministic_digest() == uninterrupted.deterministic_digest()

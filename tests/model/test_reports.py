@@ -1,5 +1,8 @@
 """PositionReport validation and helpers."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.model.points import Domain
@@ -57,3 +60,71 @@ class TestHelpers:
         r = make()
         with pytest.raises(AttributeError):
             r.t = 11.0
+
+
+class _HashableExtras(dict):
+    """A mapping a report can be hashed with (plain dicts cannot)."""
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+
+class TestPickling:
+    """The hand-written state methods behave like the generated ones."""
+
+    FULL = dict(
+        entity_id="A7",
+        t=12.5,
+        lon=-3.25,
+        lat=51.5,
+        alt=9100.0,
+        speed=230.0,
+        heading=271.0,
+        vertical_rate=-4.5,
+        source=ReportSource.ADSB,
+        domain=Domain.AVIATION,
+        extras={"squawk": "7000", "nested": {"k": [1, 2]}},
+    )
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_round_trip_equal_every_field(self, protocol):
+        for original in (make(), PositionReport(**self.FULL)):
+            restored = pickle.loads(pickle.dumps(original, protocol))
+            assert restored == original
+            assert type(restored) is PositionReport
+            for name in PositionReport.__slots__:
+                assert getattr(restored, name) == getattr(original, name)
+            assert restored.source is original.source
+            assert restored.domain is original.domain
+
+    def test_extras_round_trip_is_a_copy(self):
+        original = PositionReport(**self.FULL)
+        restored = pickle.loads(pickle.dumps(original))
+        assert restored.extras == original.extras
+        assert restored.extras is not original.extras
+
+    def test_hash_survives(self):
+        original = make(extras=_HashableExtras(nav="underway"))
+        restored = pickle.loads(pickle.dumps(original))
+        assert hash(restored) == hash(original)
+        assert len({original, restored}) == 1
+        with pytest.raises(TypeError):
+            hash(pickle.loads(pickle.dumps(make())))  # dict extras: as before
+
+    def test_restored_is_frozen(self):
+        restored = pickle.loads(pickle.dumps(make()))
+        with pytest.raises(AttributeError):
+            restored.t = 11.0
+        assert not hasattr(restored, "__dict__")
+
+    def test_state_is_the_slot_tuple(self):
+        """A field added to the class must be added to the state methods."""
+        original = PositionReport(**self.FULL)
+        assert original.__getstate__() == tuple(
+            getattr(original, name) for name in PositionReport.__slots__
+        )
+
+    def test_copy_and_deepcopy_use_the_same_state(self):
+        original = PositionReport(**self.FULL)
+        assert copy.copy(original) == original
+        assert copy.deepcopy(original) == original

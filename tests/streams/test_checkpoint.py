@@ -1,5 +1,7 @@
 """Checkpoint/recovery: snapshot protocol, stores, and runner resume."""
 
+import os
+
 import pytest
 
 from repro.streams.chaos import CrashInjector, InjectedCrash
@@ -122,6 +124,48 @@ class TestCheckpointStores:
         assert reopened.checkpoint_ids() == [2, 3]
         assert reopened.latest().states == {"s": 3}
         assert reopened.next_id() == 4
+
+    def test_file_store_sweeps_orphaned_tmp_at_open(self, tmp_path):
+        """A crash between write and rename leaves a ``.tmp``; reopen removes it."""
+        store = FileCheckpointStore(str(tmp_path))
+        store.save(self._checkpoint(0))
+        orphan = tmp_path / "checkpoint-1.pkl.tmp"
+        orphan.write_bytes(b"half a checkpoint")
+        unrelated = tmp_path / "notes.tmp"
+        unrelated.write_bytes(b"not ours")
+
+        reopened = FileCheckpointStore(str(tmp_path))
+        assert not orphan.exists()
+        assert unrelated.exists()
+        assert reopened.checkpoint_ids() == [0]
+        assert reopened.next_id() == 1
+        reopened.save(self._checkpoint(1))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint-0.pkl",
+            "checkpoint-1.pkl",
+            "notes.tmp",
+        ]
+
+    def test_file_store_lists_directory_once(self, tmp_path, monkeypatch):
+        """Ids live in memory after open: saving and asking never re-list."""
+        listings = []
+        real_listdir = os.listdir
+        monkeypatch.setattr(
+            os, "listdir", lambda path: listings.append(path) or real_listdir(path)
+        )
+        store = FileCheckpointStore(str(tmp_path), retain=2)
+        for __ in range(5):
+            store.save(self._checkpoint(store.next_id()))
+        assert store.checkpoint_ids() == [3, 4]
+        assert listings == [str(tmp_path)]
+        assert sorted(real_listdir(tmp_path)) == ["checkpoint-3.pkl", "checkpoint-4.pkl"]
+
+    def test_file_store_resave_same_id_keeps_one_entry(self, tmp_path):
+        store = FileCheckpointStore(str(tmp_path))
+        store.save(self._checkpoint(0, offset=1))
+        store.save(self._checkpoint(0, offset=2))
+        assert store.checkpoint_ids() == [0]
+        assert store.latest().source_offset == 2
 
     def test_negative_offset_rejected(self):
         with pytest.raises(ValueError):
