@@ -9,9 +9,11 @@ analytics"; fault tolerance must not eat that budget. Measures:
   of the stream vs rerunning from scratch, with the work saved.
 
 Expected shape: overhead grows as the interval shrinks (each barrier
-serializes all operator state in one ``pickle.dumps``, dominated by the
-RDF store and its dictionary); resume time stays well under a full rerun
-and saves ~ the checkpointed prefix.
+serializes all operator state in one ``pickle.dumps``; the RDF store's
+dictionary and partitions re-encode only what they gained since the
+previous barrier, so the run result's event list and the enabled
+registry dominate); resume time stays well under a full rerun and saves
+~ the checkpointed prefix.
 """
 
 import time

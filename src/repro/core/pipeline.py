@@ -65,7 +65,11 @@ from repro.streams.chaos import (
     TransientFault,
     TransientFaultInjector,
 )
-from repro.streams.checkpoint import Checkpoint, CheckpointStore
+from repro.streams.checkpoint import (
+    Checkpoint,
+    CheckpointStore,
+    CheckpointVersionError,
+)
 from repro.streams.replay import ReplayLog
 
 T = TypeVar("T")
@@ -73,6 +77,15 @@ T = TypeVar("T")
 #: Below this many records the columnar path's array set-up costs more
 #: than it saves; such batches run through ``process_report`` per record.
 _COLUMNAR_MIN_BATCH = 16
+
+#: Layout version of a :meth:`MobilityPipeline.snapshot` payload; bump it
+#: whenever a component's pickled state changes shape. Version 1 is the
+#: unversioned layout (a bare pickled component dict) written before the
+#: field existed; version 2 pickles the term dictionary as sealed chunks
+#: and every partition as its insert/remove log.
+SNAPSHOT_FORMAT = 2
+_SNAPSHOT_MAGIC = b"RPSNAP"
+_SNAPSHOT_HEADER = _SNAPSHOT_MAGIC + SNAPSHOT_FORMAT.to_bytes(2, "big")
 
 _DEG2RAD = math.pi / 180.0
 
@@ -1743,10 +1756,14 @@ class MobilityPipeline:
     def snapshot(self) -> bytes:
         """Serialize every stateful component into a checkpoint payload.
 
-        One ``pickle.dumps`` over the whole component dict, so references
-        shared *between* components — notably the observability registry,
-        whose instruments the store, synopses and extractor all hold —
-        are memoized once and stay shared inside the payload. The bytes
+        A format-version header, then one ``pickle.dumps`` over the whole
+        component dict, so references shared *between* components —
+        notably the observability registry, whose instruments the store,
+        synopses and extractor all hold — are memoized once and stay
+        shared inside the payload. The store's append-only parts (term
+        dictionary, partition logs) pickle as bytes they encoded earlier
+        plus what they gained since, so the cost tracks the growth since
+        the last snapshot, yet every payload holds all of it. The bytes
         alias no live state: the pipeline can keep ingesting and a store
         can write them out as they are. Buffered latency samples and
         deferred synopses counters are flushed first so the checkpointed
@@ -1755,7 +1772,7 @@ class MobilityPipeline:
         self._flush_latency()
         if self.metrics.enabled:
             self._synopses.publish_metrics()
-        return pickle.dumps(
+        return _SNAPSHOT_HEADER + pickle.dumps(
             {name: getattr(self, name) for name in self._STATEFUL_COMPONENTS},
             protocol=pickle.HIGHEST_PROTOCOL,
         )
@@ -1768,8 +1785,19 @@ class MobilityPipeline:
         included), so the payload itself is never touched and can serve
         any number of further resume attempts. Only load payloads this
         program wrote — unpickling runs code.
+
+        Raises:
+            CheckpointVersionError: the payload was written in another
+                format version; raised before any component is touched.
         """
-        states = pickle.loads(payload)
+        found = (
+            int.from_bytes(payload[len(_SNAPSHOT_MAGIC) : len(_SNAPSHOT_HEADER)], "big")
+            if payload.startswith(_SNAPSHOT_MAGIC)
+            else 1
+        )
+        if found != SNAPSHOT_FORMAT:
+            raise CheckpointVersionError(found, SNAPSHOT_FORMAT)
+        states = pickle.loads(memoryview(payload)[len(_SNAPSHOT_HEADER) :])
         missing = [n for n in self._STATEFUL_COMPONENTS if n not in states]
         if missing:
             raise KeyError(f"checkpoint is missing component state: {missing}")

@@ -8,6 +8,7 @@ dict preserves the semantics).
 
 from __future__ import annotations
 
+import pickle
 from typing import Iterable
 
 from repro.rdf.terms import Term
@@ -18,17 +19,50 @@ class TermDictionary:
 
     Ids are dense, starting at 0, in first-seen order. Terms must be
     hashable (all :mod:`repro.rdf.terms` types are).
+
+    The dictionary only ever grows, so it pickles as a list of *sealed
+    chunks*: each is the pickled run of terms assigned since the previous
+    pickling, encoded by the first pickling that saw them and reused as
+    bytes by every later one. A checkpoint therefore pays for the terms
+    added since the last checkpoint, not for the whole dictionary again,
+    and each pickle still holds every chunk, so it restores on its own.
     """
 
     def __init__(self) -> None:
         self._by_term: dict[Term, int] = {}
         self._by_id: list[Term] = []
+        # Pickled ``_by_id[a:b]`` runs covering ``_by_id[:_sealed_upto]``;
+        # appended lazily by __getstate__, so a run that is never pickled
+        # allocates nothing here.
+        self._chunks: list[bytes] = []
+        self._sealed_upto = 0
 
     def __len__(self) -> int:
         return len(self._by_id)
 
     def __contains__(self, term: Term) -> bool:
         return term in self._by_term
+
+    def __getstate__(self) -> list[bytes]:
+        if self._sealed_upto < len(self._by_id):
+            self._chunks.append(
+                pickle.dumps(
+                    self._by_id[self._sealed_upto :], protocol=pickle.HIGHEST_PROTOCOL
+                )
+            )
+            self._sealed_upto = len(self._by_id)
+        return self._chunks
+
+    def __setstate__(self, chunks: list[bytes]) -> None:
+        by_id: list[Term] = []
+        for chunk in chunks:
+            by_id.extend(pickle.loads(chunk))
+        self._by_id = by_id
+        # Ids were assigned in first-seen order and never removed, so
+        # rebuilding in id order reproduces the original insertion order.
+        self._by_term = {term: term_id for term_id, term in enumerate(by_id)}
+        self._chunks = list(chunks)
+        self._sealed_upto = len(by_id)
 
     def encode(self, term: Term) -> int:
         """Id of a term, assigning a new id on first sight."""

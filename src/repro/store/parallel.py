@@ -250,7 +250,7 @@ class ParallelRDFStore:
             partitions: Restrict the scan to these partitions (pruning);
                 default scans all.
         """
-        ids = []
+        ids: list[int | None] = []
         for term in (s, p, o):
             if term is None:
                 ids.append(None)
@@ -272,7 +272,7 @@ class ParallelRDFStore:
 
     def count(self, s: Term | None = None, p: Term | None = None, o: Term | None = None) -> int:
         """Count matches of a term pattern across all partitions."""
-        ids = []
+        ids: list[int | None] = []
         for term in (s, p, o):
             if term is None:
                 ids.append(None)

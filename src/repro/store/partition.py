@@ -92,7 +92,7 @@ class GridPartitioner(Partitioner):
         return self._partition_of_cell(cell_id % self.grid.n_cells)
 
     def partitions_for_bbox(self, bbox: BBox) -> set[int]:
-        out = set()
+        out: set[int] = set()
         for ix, iy in self.grid.cells_intersecting(bbox):
             out.add(self._partition_of_cell(iy * self.grid.nx + ix))
         return out
@@ -172,7 +172,7 @@ class QuadTreePartitioner(Partitioner):
         return self._leaf_partition.get(leaf, 0)
 
     def partitions_for_bbox(self, bbox: BBox) -> set[int]:
-        out = set()
+        out: set[int] = set()
         for leaf_bbox, partition in self._leaf_partition.items():
             if leaf_bbox.intersects(bbox):
                 out.add(partition)
@@ -241,7 +241,7 @@ class HilbertPartitioner(Partitioner):
         return self._partition_of_curve(self._key_to_curve(st_key))
 
     def partitions_for_bbox(self, bbox: BBox) -> set[int]:
-        out = set()
+        out: set[int] = set()
         for ix, iy in self.grid.cells_intersecting(bbox):
             position = hilbert_xy2d(self._order, ix, iy)
             out.add(self._partition_of_curve(position))

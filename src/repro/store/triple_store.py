@@ -3,10 +3,20 @@
 Triples are stored as integer id tuples in nested-dict indexes — SPO, POS
 and OSP — so every triple-pattern shape (bound/unbound combinations of
 subject, predicate, object) has an index-backed access path.
+
+Beside the indexes a partition keeps an append-only ``array('q')`` log of
+every insert ``s, p, o`` and removal ``~s, p, o`` (a negative subject is
+a tombstone). The log is the partition's pickled state: encoding it is
+one buffer copy however large the indexes have grown, and unpickling
+replays it through the same insert/remove code, so SPO, POS and OSP come
+back with the original dict order and set insertion history — every
+``match()`` yields in the original order.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain
 from typing import Iterable, Iterator
 
 _WILDCARD = None
@@ -27,9 +37,26 @@ class TripleStore:
         # o -> s -> set[p]
         self._osp: dict[int, dict[int, set[int]]] = {}
         self._count = 0
+        self._log = array("q")
 
     def __len__(self) -> int:
         return self._count
+
+    def __getstate__(self) -> array[int]:
+        return self._log
+
+    def __setstate__(self, log: array[int]) -> None:
+        TripleStore.__init__(self)
+        triples = iter(log)
+        inserts: list[tuple[int, int, int]] = []
+        for s, p, o in zip(triples, triples, triples):
+            if s >= 0:
+                inserts.append((s, p, o))
+                continue
+            self.add_triples(inserts)
+            inserts = []
+            self.remove(~s, p, o)
+        self.add_triples(inserts)
 
     def add(self, s: int, p: int, o: int) -> bool:
         """Insert one triple; returns False when it already existed."""
@@ -40,6 +67,7 @@ class TripleStore:
         self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
         self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
         self._count += 1
+        self._log.extend((s, p, o))
         return True
 
     def add_triples(self, triples: Iterable[tuple[int, int, int]]) -> int:
@@ -50,7 +78,14 @@ class TripleStore:
         identical to calling :meth:`add` per triple (same final indexes,
         same new-triple count) — the micro-batch store path relies on
         that equivalence.
+
+        Every given triple is logged, duplicates included (replaying one
+        is a no-op, as inserting it was); ``triples`` is materialised
+        first so a generator is logged and inserted in full.
         """
+        if not isinstance(triples, (list, tuple)):
+            triples = list(triples)
+        self._log.fromlist(list(chain.from_iterable(triples)))
         spo_get = self._spo.setdefault
         pos_get = self._pos.setdefault
         osp_get = self._osp.setdefault
@@ -75,6 +110,7 @@ class TripleStore:
         self._pos[p][o].discard(s)
         self._osp[o][s].discard(p)
         self._count -= 1
+        self._log.extend((~s, p, o))
         return True
 
     def contains(self, s: int, p: int, o: int) -> bool:

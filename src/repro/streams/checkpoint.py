@@ -107,6 +107,28 @@ class CheckpointCorruptError(ValueError):
     """A stored checkpoint is truncated, altered or unreadable."""
 
 
+class CheckpointVersionError(ValueError):
+    """An intact checkpoint payload written in another format version.
+
+    Distinct from :class:`CheckpointCorruptError`: the file verifies, so
+    :meth:`CheckpointStore.latest` returns it rather than counting it as
+    corrupt — and falling back to an older file would not help, because
+    that one is just as old a format. The payload's reader raises this
+    before touching any component state.
+    """
+
+    def __init__(self, found: int, expected: int) -> None:
+        super().__init__(found, expected)
+        self.found = found
+        self.expected = expected
+
+    def __str__(self) -> str:
+        return (
+            f"checkpoint payload is format version {self.found}, "
+            f"this program reads version {self.expected}"
+        )
+
+
 class CheckpointStore:
     """Interface for checkpoint persistence backends."""
 

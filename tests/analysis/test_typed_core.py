@@ -51,6 +51,7 @@ def test_typed_core_covers_the_digest_feeders():
         "src/repro/forecasting",
         "src/repro/linkage",
         "src/repro/sources",
+        "src/repro/store",
     } <= entries
 
 

@@ -13,7 +13,13 @@ properties this file pins:
 And because the payload is bytes, the file store can check it: a
 truncated, bit-flipped or unreadable file raises
 ``CheckpointCorruptError`` and resume falls back to the newest checkpoint
-that verifies.
+that verifies. An intact payload of another format version is refused
+with ``CheckpointVersionError`` before any component is touched — and
+not passed over as corrupt.
+
+The store's append-only parts (term dictionary, partition logs) encode
+only what they gained since the previous snapshot, yet every payload
+restores the store exactly: same ids, same ``match()`` order.
 
 Every test runs inside ``determinism_sanitizer()`` (CI runs this file in
 its "Sanitizer differential arm" step as well): checkpointing must not
@@ -27,17 +33,26 @@ import pickle
 import pytest
 
 from repro.analysis.sanitizer import determinism_sanitizer
-from repro.core.pipeline import BatchOptions, CheckpointOptions, MobilityPipeline
+from repro.core.pipeline import (
+    _SNAPSHOT_HEADER,
+    _SNAPSHOT_MAGIC,
+    SNAPSHOT_FORMAT,
+    BatchOptions,
+    CheckpointOptions,
+    MobilityPipeline,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.sources.generators import MaritimeTrafficGenerator
 from repro.streams.chaos import CrashInjector, InjectedCrash
 from repro.streams.checkpoint import (
     Checkpoint,
     CheckpointCorruptError,
+    CheckpointVersionError,
     FileCheckpointStore,
     InMemoryCheckpointStore,
 )
 from repro.streams.replay import ReplayLog
+from tests.store.test_store_state import assert_same_match_order
 
 
 @pytest.fixture(autouse=True)
@@ -130,10 +145,13 @@ class TestPayloadContract:
 
     def test_restore_rejects_payload_missing_a_component(self, sample):
         pipeline = _pipeline(sample)
-        states = pickle.loads(pipeline.snapshot())
+        payload = pipeline.snapshot()
+        header = payload[: len(_SNAPSHOT_HEADER)]
+        assert header == _SNAPSHOT_HEADER
+        states = pickle.loads(payload[len(header) :])
         del states["store"]
         with pytest.raises(KeyError, match="store"):
-            pipeline.restore(pickle.dumps(states))
+            pipeline.restore(header + pickle.dumps(states))
 
     @pytest.mark.parametrize("backend", ["memory", "file"])
     def test_crash_resume_identical_through_either_store(
@@ -243,3 +261,127 @@ class TestFailClosed:
         with pytest.raises(KeyError):
             store.load(7)
         assert store.corrupt_skipped == 0
+
+
+def _unversioned_payload(sample, reports):
+    """The layout before the version field: a bare pickled component dict."""
+    source = _pipeline(sample)
+    source.process_batch(reports[:100])
+    return pickle.dumps(
+        {name: getattr(source, name) for name in source._STATEFUL_COMPONENTS}
+    )
+
+
+class TestAppendOnlyStateEncoding:
+    """The store's dictionary and partitions pickle once, and faithfully."""
+
+    def test_crash_resume_restores_the_store_exactly(
+        self, sample, reports, uninterrupted, tmp_path
+    ):
+        whole = _pipeline(sample)
+        whole.run(reports, batch=BatchOptions(size=64))
+        store = FileCheckpointStore(str(tmp_path))
+        crashed = _pipeline(sample)
+        with pytest.raises(InjectedCrash):
+            crashed.run(
+                CrashInjector(reports, crash_after=len(reports) // 2),
+                batch=BatchOptions(size=64),
+                checkpoints=CheckpointOptions(store=store, interval=100),
+            )
+        resumed = _pipeline(sample)
+        result = resumed.run(
+            ReplayLog(reports),
+            batch=BatchOptions(size=64),
+            checkpoints=CheckpointOptions(store=store, resume=True),
+        )
+        assert result.deterministic_bytes() == uninterrupted.deterministic_bytes()
+
+        mine, theirs = resumed.store, whole.store
+        assert [mine.dictionary.decode(i) for i in range(len(mine.dictionary))] == [
+            theirs.dictionary.decode(i) for i in range(len(theirs.dictionary))
+        ]
+        assert len(mine.partitions) == len(theirs.partitions)
+        for restored, original in zip(mine.partitions, theirs.partitions):
+            assert_same_match_order(restored, original)
+
+    def test_snapshots_encode_only_what_was_added(self, sample, reports):
+        pipeline = _pipeline(sample)
+        dictionary = pipeline.store.dictionary
+        pipeline.process_batch(reports[:200])
+        pipeline.snapshot()
+        chunks = len(dictionary._chunks)
+        logs = [len(p._log) for p in pipeline.store.partitions]
+
+        pipeline.snapshot()
+        assert len(dictionary._chunks) == chunks
+        assert [len(p._log) for p in pipeline.store.partitions] == logs
+
+        sealed = len(dictionary)
+        pipeline.process_batch(reports[200:400])
+        added = len(dictionary) - sealed
+        assert added > 0
+        pipeline.snapshot()
+        assert len(dictionary._chunks) == chunks + 1
+        assert pickle.loads(dictionary._chunks[-1]) == [
+            dictionary.decode(i) for i in range(sealed, sealed + added)
+        ]
+
+    def test_a_run_without_checkpoints_seals_nothing(self, sample, reports):
+        pipeline = _pipeline(sample)
+        pipeline.run(reports[:300], batch=BatchOptions(size=64))
+        assert pipeline.store.dictionary._chunks == []
+
+
+class TestFormatVersion:
+    def test_payload_leads_with_the_version(self, sample):
+        payload = _pipeline(sample).snapshot()
+        assert payload.startswith(_SNAPSHOT_HEADER)
+        assert SNAPSHOT_FORMAT == 2
+
+    def test_parent_format_is_refused_before_any_component_is_touched(
+        self, sample, reports
+    ):
+        target = _pipeline(sample)
+        store_before = target.store
+        with pytest.raises(CheckpointVersionError) as raised:
+            target.restore(_unversioned_payload(sample, reports))
+        assert (raised.value.found, raised.value.expected) == (1, SNAPSHOT_FORMAT)
+        assert "version 1" in str(raised.value) and f"version {SNAPSHOT_FORMAT}" in str(
+            raised.value
+        )
+        assert target.store is store_before
+
+    def test_newer_format_is_refused(self, sample):
+        payload = _pipeline(sample).snapshot()
+        skewed = (
+            _SNAPSHOT_MAGIC
+            + (SNAPSHOT_FORMAT + 1).to_bytes(2, "big")
+            + payload[len(_SNAPSHOT_HEADER) :]
+        )
+        with pytest.raises(CheckpointVersionError) as raised:
+            _pipeline(sample).restore(skewed)
+        assert raised.value.found == SNAPSHOT_FORMAT + 1
+
+    def test_version_error_is_not_corruption(self):
+        error = CheckpointVersionError(1, SNAPSHOT_FORMAT)
+        assert isinstance(error, ValueError)
+        assert not isinstance(error, CheckpointCorruptError)
+        clone = pickle.loads(pickle.dumps(error))
+        assert (clone.found, clone.expected, str(clone)) == (1, SNAPSHOT_FORMAT, str(error))
+
+    def test_skewed_file_is_neither_skipped_nor_counted_corrupt(
+        self, sample, reports, tmp_path
+    ):
+        unversioned = _unversioned_payload(sample, reports)
+        store = FileCheckpointStore(str(tmp_path))
+        for checkpoint_id in (0, 1):
+            store.save(Checkpoint(checkpoint_id, source_offset=100, states=unversioned))
+
+        reopened = FileCheckpointStore(str(tmp_path))
+        with pytest.raises(CheckpointVersionError):
+            _pipeline(sample).run(
+                ReplayLog(reports),
+                checkpoints=CheckpointOptions(store=reopened, resume=True),
+            )
+        assert reopened.corrupt_skipped == 0
+        assert reopened.latest().checkpoint_id == 1

@@ -1,7 +1,10 @@
 """Store deletion and time-based retention."""
 
+import pickle
+
 import pytest
 
+from repro.analysis.sanitizer import determinism_sanitizer
 from repro.geo.bbox import BBox
 from repro.geo.grid import GeoGrid
 from repro.model.entities import Vessel
@@ -11,6 +14,7 @@ from repro.rdf import vocabulary as V
 from repro.rdf.transform import RdfTransformer, entity_iri, position_node_iri
 from repro.store.parallel import ParallelRDFStore
 from repro.store.partition import HilbertPartitioner
+from tests.store.test_store_state import assert_same_match_order
 
 
 @pytest.fixture()
@@ -90,3 +94,47 @@ class TestExpireBefore:
         trajectory = executor.entity_trajectory("V1")
         assert len(trajectory) == 5
         assert trajectory.start_time == 500.0
+
+
+class TestRemovalSurvivesCheckpoint:
+    """Deletions are logged as tombstones: a pickled store replays them."""
+
+    @pytest.fixture(autouse=True)
+    def sanitized(self):
+        with determinism_sanitizer():
+            yield
+
+    @staticmethod
+    def _assert_equal_stores(restored, original):
+        assert len(restored) == len(original)
+        assert [restored.dictionary.decode(i) for i in range(len(restored.dictionary))] == [
+            original.dictionary.decode(i) for i in range(len(original.dictionary))
+        ]
+        assert restored._subject_partition == original._subject_partition
+        for mine, theirs in zip(restored.partitions, original.partitions):
+            assert_same_match_order(mine, theirs)
+        assert list(restored.match()) == list(original.match())
+
+    @pytest.mark.parametrize(
+        "retire",
+        [
+            lambda store: store.remove_subject(position_node_iri("V1", 300.0)),
+            lambda store: store.expire_before(500.0),
+        ],
+        ids=["remove_subject", "expire_before"],
+    )
+    def test_snapshot_after_removal_restores_equal(self, loaded, retire):
+        retire(loaded)
+        restored = pickle.loads(pickle.dumps(loaded, protocol=pickle.HIGHEST_PROTOCOL))
+        self._assert_equal_stores(restored, loaded)
+        assert restored.count(position_node_iri("V1", 300.0), None, None) == 0
+
+    def test_removal_between_snapshots(self, loaded):
+        """Snapshot, remove, snapshot again: the later file has the tombstones."""
+        pickle.dumps(loaded)
+        loaded.expire_before(500.0)
+        restored = pickle.loads(pickle.dumps(loaded))
+        self._assert_equal_stores(restored, loaded)
+        # The restored store keeps retiring like the original.
+        assert restored.expire_before(800.0) == loaded.expire_before(800.0)
+        self._assert_equal_stores(restored, loaded)

@@ -1,6 +1,7 @@
 """Single-partition triple store: all pattern shapes, vs brute force."""
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.store.triple_store import TripleStore
+from tests.store.test_store_state import assert_same_match_order
 
 
 @pytest.fixture()
@@ -114,3 +116,24 @@ class TestRandomizedConsistency:
         assert set(store.match()) == reference
         for s, p, o in reference:
             assert store.contains(s, p, o)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(0, 6),
+                st.integers(0, 3),
+                st.integers(0, 6),
+            ),
+            max_size=60,
+        )
+    )
+    def test_any_op_sequence_pickles_with_the_same_match_order(self, ops):
+        store = TripleStore()
+        for insert, s, p, o in ops:
+            if insert:
+                store.add_triples([(s, p, o)])
+            else:
+                store.remove(s, p, o)
+        assert_same_match_order(pickle.loads(pickle.dumps(store)), store)
