@@ -345,52 +345,6 @@ def test_e2c_instrumentation_overhead(maritime_fleet):
     )
 
 
-def test_e2b_stream_parallelism(benchmark, maritime_fleet):
-    """E2b: simulated task-slot parallelism of the keyed synopses stage.
-
-    The same stream is processed by 1/2/4/8 clones of the synopses
-    operator with hash routing by entity; the table reports routing skew
-    and the simulated makespan speedup over the single-slot run.
-    """
-    from benchmarks.conftest import emit_table
-    from repro.insitu.synopses import SynopsesOperator
-    from repro.streams.parallel import ParallelKeyedRunner
-    from repro.streams.records import Record
-
-    records = [Record(event_time=r.t, value=r) for r in maritime_fleet.reports]
-    rows = []
-    baseline_s = None
-    for n_tasks in (1, 2, 4, 8):
-        runner = ParallelKeyedRunner(
-            SynopsesOperator, n_tasks, key_fn=lambda r: r.entity_id
-        )
-        outputs, report = runner.run(iter(records))
-        if baseline_s is None:
-            baseline_s = report.makespan_s
-        rows.append([
-            n_tasks,
-            report.records_in,
-            len(outputs),
-            report.skew,
-            report.sequential_s * 1000.0,
-            report.makespan_s * 1000.0,
-            baseline_s / report.makespan_s if report.makespan_s > 0 else 1.0,
-        ])
-    emit_table(
-        "e2b_stream_parallel",
-        "E2b: keyed synopses stage under simulated task parallelism",
-        ["tasks", "records", "kept", "skew", "sequential_ms",
-         "makespan_ms", "speedup_vs_1"],
-        rows,
-    )
-    # Outputs are identical regardless of parallelism (keyed state).
-    kept_counts = {row[2] for row in rows}
-    assert len(kept_counts) == 1
-
-    runner = ParallelKeyedRunner(SynopsesOperator, 4, key_fn=lambda r: r.entity_id)
-    benchmark(lambda: runner.run(iter(records[:2000])))
-
-
 def main() -> int:
     """Standalone entry: run E2, gate on SLO + overhead, write artifacts."""
     from repro.sources.generators import MaritimeTrafficGenerator

@@ -1,11 +1,9 @@
 """E2b (runtime) — real multi-process speedup of the sharded pipeline.
 
-The original E2b models task parallelism analytically: one process runs
-``n`` operator clones and reports the *simulated* makespan (max per-task
-busy time + shuffle overhead). This benchmark runs the same keyed-
-sharding topology for real: ``repro.runtime`` executes the full pipeline
-across worker *processes* with bounded queues and checkpoints, and the
-wall clock — spawn, IPC, merge, everything — is the measurement.
+The stream is sharded by entity key, as a keyed streaming job would be,
+and ``repro.runtime`` executes the full pipeline across worker
+*processes* with bounded queues and checkpoints; the wall clock — spawn,
+IPC, merge, everything — is the measurement.
 
 Workload model: each record pays ``--service-ms`` of downstream service
 wait inside its worker (the remote-store/network RTT of the deployed

@@ -5,8 +5,8 @@ Two ablations on the same workload and the same selective query:
 - **spatio-temporal key off**: the transformer emits no st-key triples,
   so spatial partitioners degrade to hash routing and pruning vanishes.
 - **partition-local strategy off**: the executor is forced down the
-  global path (no pruning, single-threaded scan), isolating what the
-  subject-star + pruning machinery contributes.
+  global path (no pruning), isolating what the subject-star + pruning
+  machinery contributes.
 
 Expected shape: removing either ingredient costs most of the selective-
 query speedup; result counts stay identical (ablations affect cost, not
@@ -21,7 +21,8 @@ from benchmarks.conftest import emit_table
 from repro.geo.bbox import BBox
 from repro.geo.grid import GeoGrid
 from repro.query.ast import STWithinFilter, SelectQuery, TriplePattern, Variable
-from repro.query.executor import QueryExecutor
+from repro.query.executor import ExecutionReport, QueryExecutor
+from repro.query.planner import order_patterns
 from repro.rdf import vocabulary as V
 from repro.rdf.transform import RdfTransformer
 from repro.store.parallel import ParallelRDFStore
@@ -67,7 +68,7 @@ def test_e8_store_ablations(benchmark, maritime_fleet):
         "full (st-key + partition-local)",
         report_full.partitions_scanned,
         report_full.pruning_ratio,
-        report_full.makespan_s * 1000.0,
+        report_full.scan_s * 1000.0,
         wall_full,
         len(rows_full),
     ])
@@ -82,21 +83,24 @@ def test_e8_store_ablations(benchmark, maritime_fleet):
         "no st-key encoding",
         report_nokey.partitions_scanned,
         report_nokey.pruning_ratio,
-        report_nokey.makespan_s * 1000.0,
+        report_nokey.scan_s * 1000.0,
         wall_nokey,
         len(rows_nokey),
     ])
 
     # Ablation 2: force the global path on the full store.
+    ordered = order_patterns(query.patterns)
+    report_global = ExecutionReport(partitions_total=store_full.n_partitions)
     started = time.perf_counter()
-    global_rows = executor._execute_global(query, type(report_full)(partitions_total=8))
+    global_rows = executor._execute_global(query, ordered, report_global)
+    scan_global = (time.perf_counter() - started) * 1000.0
     projected = [{v: r[v] for v in query.select if v in r} for r in global_rows]
     wall_global = (time.perf_counter() - started) * 1000.0
     rows.append([
         "global strategy (no pruning)",
-        8,
-        0.0,
-        wall_global,
+        report_global.partitions_scanned,
+        report_global.pruning_ratio,
+        scan_global,
         wall_global,
         len(projected),
     ])
@@ -104,7 +108,7 @@ def test_e8_store_ablations(benchmark, maritime_fleet):
     emit_table(
         "e8_ablation_store",
         "E8: store ablations on a selective spatio-temporal query",
-        ["variant", "scanned", "pruning", "makespan_ms", "wall_ms", "results"],
+        ["variant", "scanned", "pruning", "scan_ms", "wall_ms", "results"],
         rows,
     )
 
@@ -125,7 +129,7 @@ def test_e8b_planner_ablation(benchmark, maritime_fleet):
     pattern evaluated last). Results are identical; wall time is not.
     """
     from repro.query.ast import SelectQuery, TriplePattern, Variable
-    from repro.query.planner import StatisticsEstimator, default_estimator, order_patterns
+    from repro.query.planner import StatisticsEstimator, default_estimator
     from repro.rdf.transform import entity_iri
 
     sample = maritime_fleet

@@ -947,12 +947,12 @@ class MobilityPipeline:
             ceiling = ceilings[code]
             if ceiling is not None:
                 flag |= spd_seg > ceiling
-            # Stop guard: simulate the Schmitt trigger exactly. With
+            # Stop guard: mirror the Schmitt trigger exactly. With
             # real speeds the stop state toggles *only* on records
-            # this marks, so the simulated state stays in lockstep
+            # this marks, so the mirrored state stays in lockstep
             # with the scalar path. A NaN speed (derived distance/dt
             # speed, unknown here) is marked whenever a previous
-            # report exists and degrades the simulation to a
+            # report exists and degrades the mirror to a
             # conservative superset: while the state is unknown,
             # every record that could toggle either way is marked.
             sim = st.stopped if st is not None else False

@@ -5,10 +5,10 @@ is active become its children, so a run's spans form the parent/child
 tree a flamegraph renders: ingest → synopsis → RDF → store → query, with
 per-span wall time and record counts.
 
-Spans are deliberately single-threaded (the engine is a single-process
-simulation); the active-span stack lives on the :class:`Tracer`, and the
-buffer of completed spans is bounded — overflow is *counted*, never
-silently lost.
+Spans are deliberately single-threaded (each pipeline runs in one
+thread of one process); the active-span stack lives on the
+:class:`Tracer`, and the buffer of completed spans is bounded — overflow
+is *counted*, never silently lost.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@
 - :mod:`repro.query.parser` — a small SPARQL-like textual query language
   with ``ST_WITHIN`` / ``ST_INTERVAL`` filters.
 - :mod:`repro.query.planner` — selectivity-based pattern ordering.
-- :mod:`repro.query.executor` — partition-parallel evaluation with
-  pruning, plus kNN and trajectory retrieval helpers, reporting a
-  simulated-parallel cost model (per-partition work, makespan, speedup).
+- :mod:`repro.query.executor` — partition-scoped evaluation with
+  pruning, plus kNN and trajectory retrieval helpers, reporting measured
+  phase times (parse, plan, serial partition scan, post-processing).
 """
 
 from repro.query.ast import (

@@ -1,4 +1,4 @@
-"""Partition-parallel query evaluation with a simulated cost model.
+"""Partition-scoped query evaluation over the parallel RDF store.
 
 Execution strategy:
 
@@ -10,9 +10,12 @@ Execution strategy:
 2. Any other query shape is evaluated against the global view (each
    triple pattern scans all partitions) — always correct, never pruned.
 
-The cost model measures real per-partition wall time and reports the
-makespan a cluster would see: ``max(per-partition) + overhead(n)``, next
-to the sequential sum, giving the simulated speedup of experiment E4.
+Partitions are scanned one after another in the calling process, and
+every phase time in the :class:`ExecutionReport` is measured wall time:
+what pruning buys is read directly off ``scan_s`` and
+``partitions_scanned``. Work that actually runs in parallel lives in
+:mod:`repro.runtime` (worker processes) and :mod:`repro.serving` (shard
+fan-out).
 """
 
 from __future__ import annotations
@@ -35,7 +38,12 @@ from repro.query.ast import (
     TriplePattern,
     Variable,
 )
-from repro.query.planner import order_patterns
+from repro.query.planner import (
+    CardinalityEstimator,
+    StatisticsEstimator,
+    default_estimator,
+    order_patterns,
+)
 from repro.rdf import vocabulary as V
 from repro.rdf.terms import IRI, Literal, Term, Triple
 from repro.rdf.transform import entity_iri
@@ -43,35 +51,26 @@ from repro.store.parallel import ParallelRDFStore
 
 Bindings = dict[Variable, Term]
 
-#: Coordination overhead per partition involved in a distributed query
-#: (scheduling + result merge), in seconds. The value approximates a
-#: low-latency cluster fabric; the E4 table reports it explicitly.
-COORDINATION_OVERHEAD_S = 0.0005
-
 
 @dataclass
 class ExecutionReport:
-    """What the executor did and what it would have cost on a cluster.
+    """What the executor did and how long each phase took.
 
     Every phase of evaluation is timed — parse (only via
     :meth:`QueryExecutor.execute_text`), planning (pattern ordering +
     partition pruning), the partition scans, and result post-processing
     (order/distinct/limit/projection) — and :attr:`total_s` covers the
-    whole call, so the phase times account for the total (previously
-    parse/plan time was silently dropped).
+    whole call, so the phase times account for the total.
 
     Attributes:
         n_results: Number of result bindings.
         partitions_total: Partition count of the store.
         partitions_scanned: Partitions actually evaluated after pruning.
         pruning_ratio: ``1 - scanned/total`` (0 when nothing was pruned).
-        per_partition_s: Measured evaluation wall time per scanned
-            partition.
-        sequential_s: Sum of per-partition times (single-node cost).
-        makespan_s: ``max(per-partition) + overhead`` (cluster cost).
         strategy: ``"partition-local"`` or ``"global"``.
         parse_s: Text-to-AST time (0 when executing a prebuilt query).
         plan_s: Pattern ordering + partition pruning time.
+        scan_s: Wall time of the partition scans, run one after another.
         postprocess_s: Order/distinct/limit/projection time.
         total_s: Wall time of the whole execute call (including parse).
         metrics: Snapshot of the executor's observability registry
@@ -82,27 +81,13 @@ class ExecutionReport:
     partitions_total: int = 0
     partitions_scanned: int = 0
     pruning_ratio: float = 0.0
-    per_partition_s: list[float] = field(default_factory=list)
-    sequential_s: float = 0.0
-    makespan_s: float = 0.0
     strategy: str = "global"
     parse_s: float = 0.0
     plan_s: float = 0.0
+    scan_s: float = 0.0
     postprocess_s: float = 0.0
     total_s: float = 0.0
     metrics: dict = field(default_factory=dict)
-
-    @property
-    def simulated_speedup(self) -> float:
-        """Sequential time over makespan (>= 1 when parallelism helps)."""
-        if self.makespan_s <= 0:
-            return 1.0
-        return self.sequential_s / self.makespan_s
-
-    @property
-    def scan_s(self) -> float:
-        """Total partition-scan time (alias of :attr:`sequential_s`)."""
-        return self.sequential_s
 
     def phase_times(self) -> dict[str, float]:
         """Per-phase wall times in seconds (they sum to ≈ :attr:`total_s`)."""
@@ -125,8 +110,6 @@ class ExecutionReport:
             "scan_ms": self.scan_s * 1000.0,
             "postprocess_ms": self.postprocess_s * 1000.0,
             "total_ms": self.total_s * 1000.0,
-            "makespan_ms": self.makespan_s * 1000.0,
-            "simulated_speedup": self.simulated_speedup,
         }
 
     def as_dict(self) -> dict:
@@ -186,14 +169,9 @@ class QueryExecutor:
     ) -> None:
         self.store = store
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        if use_statistics:
-            from repro.query.planner import StatisticsEstimator
-
-            self._estimator = StatisticsEstimator(store)
-        else:
-            from repro.query.planner import default_estimator
-
-            self._estimator = default_estimator
+        self._estimator: CardinalityEstimator = (
+            StatisticsEstimator(store) if use_statistics else default_estimator
+        )
 
     # -- public API ---------------------------------------------------------
 
@@ -205,8 +183,28 @@ class QueryExecutor:
         ``report.total_s`` covers the whole call, so phase times account
         for the total (see :meth:`ExecutionReport.phase_times`).
         """
+        return self._execute(query, monotonic(), None)
+
+    def execute_text(self, text: str) -> tuple[list[Bindings], ExecutionReport]:
+        """Parse and evaluate a textual query, timing the parse phase.
+
+        The returned report's ``parse_s`` covers text-to-AST time and is
+        included in ``total_s`` — no phase is dropped from the totals.
+        """
+        from repro.query.parser import parse_query
+
         total_started = monotonic()
-        report = ExecutionReport(partitions_total=self.store.n_partitions)
+        with self.metrics.span("query.parse"):
+            query = parse_query(text)
+        return self._execute(query, total_started, monotonic() - total_started)
+
+    def _execute(
+        self, query: SelectQuery, total_started: float, parse_s: float | None
+    ) -> tuple[list[Bindings], ExecutionReport]:
+        """Evaluate ``query``; ``parse_s`` is None when nothing was parsed."""
+        report = ExecutionReport(
+            partitions_total=self.store.n_partitions, parse_s=parse_s or 0.0
+        )
         with self.metrics.span("query.execute") as root_span:
             plan_started = monotonic()
             with self.metrics.span("query.plan"):
@@ -218,6 +216,7 @@ class QueryExecutor:
                     else None
                 )
             report.plan_s = monotonic() - plan_started
+            scan_started = monotonic()
             with self.metrics.span("query.scan") as scan_span:
                 if star_var is not None and partitions is not None:
                     rows = self._execute_partition_local(
@@ -226,6 +225,7 @@ class QueryExecutor:
                 else:
                     rows = self._execute_global(query, ordered, report)
                 scan_span.add_records(len(rows))
+            report.scan_s = monotonic() - scan_started
             post_started = monotonic()
             with self.metrics.span("query.postprocess"):
                 if query.order_by is not None:
@@ -253,33 +253,15 @@ class QueryExecutor:
             report.n_results = len(projected)
             root_span.add_records(len(projected))
         report.total_s = monotonic() - total_started
-        self._record_query_metrics(report)
+        self._record_query_metrics(report, parsed=parse_s is not None)
         return (projected, report)
 
-    def execute_text(self, text: str) -> tuple[list[Bindings], ExecutionReport]:
-        """Parse and evaluate a textual query, timing the parse phase.
-
-        The returned report's ``parse_s`` covers text-to-AST time and is
-        included in ``total_s`` — no phase is dropped from the totals.
-        """
-        from repro.query.parser import parse_query
-
-        parse_started = monotonic()
-        with self.metrics.span("query.parse"):
-            query = parse_query(text)
-        parse_s = monotonic() - parse_started
-        rows, report = self.execute(query)
-        report.parse_s = parse_s
-        report.total_s += parse_s
-        if self.metrics.enabled:
-            self.metrics.histogram("query.parse").record(parse_s)
-            report.metrics = self.metrics.as_dict()
-        return (rows, report)
-
-    def _record_query_metrics(self, report: ExecutionReport) -> None:
+    def _record_query_metrics(self, report: ExecutionReport, parsed: bool) -> None:
         """Land phase latencies on the registry and snapshot it."""
         if not self.metrics.enabled:
             return
+        if parsed:
+            self.metrics.histogram("query.parse").record(report.parse_s)
         self.metrics.histogram("query.plan").record(report.plan_s)
         self.metrics.histogram("query.scan").record(report.scan_s)
         self.metrics.histogram("query.postprocess").record(report.postprocess_s)
@@ -290,7 +272,7 @@ class QueryExecutor:
 
     @staticmethod
     def _apply_order(rows: list[Bindings], order: Any) -> list[Bindings]:
-        def key(row: Bindings):
+        def key(row: Bindings) -> tuple[int, float, str]:
             term = row.get(order.var)
             if term is None:
                 return (2, 0.0, "")
@@ -438,17 +420,12 @@ class QueryExecutor:
         report.strategy = "partition-local"
         report.partitions_scanned = len(partitions)
         report.pruning_ratio = 1.0 - (len(partitions) / max(1, self.store.n_partitions))
-        rows: list[Bindings] = []
-        for idx in partitions:
-            started = monotonic()
-            for row in self._join(ordered, {}, partitions=(idx,)):
-                if self._passes_filters(row, query.filters):
-                    rows.append(row)
-            report.per_partition_s.append(monotonic() - started)
-        report.sequential_s = sum(report.per_partition_s)
-        longest = max(report.per_partition_s, default=0.0)
-        report.makespan_s = longest + COORDINATION_OVERHEAD_S * max(1, len(partitions))
-        return rows
+        return [
+            row
+            for idx in partitions
+            for row in self._join(ordered, {}, partitions=(idx,))
+            if self._passes_filters(row, query.filters)
+        ]
 
     def _execute_global(
         self,
@@ -458,17 +435,11 @@ class QueryExecutor:
     ) -> list[Bindings]:
         report.strategy = "global"
         report.partitions_scanned = self.store.n_partitions
-        started = monotonic()
-        rows = [
+        return [
             row
             for row in self._join(ordered, {}, partitions=None)
             if self._passes_filters(row, query.filters)
         ]
-        elapsed = monotonic() - started
-        report.per_partition_s = [elapsed]
-        report.sequential_s = elapsed
-        report.makespan_s = elapsed + COORDINATION_OVERHEAD_S * self.store.n_partitions
-        return rows
 
     def _prune_partitions(self, query: SelectQuery, star_var: Variable) -> set[int]:
         for flt in query.filters:
@@ -532,9 +503,9 @@ class QueryExecutor:
         node = row.get(flt.var)
         if not isinstance(node, IRI):
             return False
-        lon = self._node_literal(node, V.PROP_LON, row)
-        lat = self._node_literal(node, V.PROP_LAT, row)
-        t = self._node_literal(node, V.PROP_TIMESTAMP, row)
+        lon = self._node_literal(node, V.PROP_LON)
+        lat = self._node_literal(node, V.PROP_LAT)
+        t = self._node_literal(node, V.PROP_TIMESTAMP)
         if lon is None or lat is None:
             return False
         if not flt.bbox.contains(lon, lat):
@@ -543,8 +514,11 @@ class QueryExecutor:
             return flt.t_from == float("-inf") and flt.t_to == float("inf")
         return flt.t_from <= t <= flt.t_to
 
-    def _node_literal(self, node: IRI, prop: IRI, row: Bindings) -> float | None:
-        """A node's numeric property, preferring already-bound variables."""
+    def _node_literal(self, node: IRI, prop: IRI) -> float | None:
+        """A node's first literal ``prop`` value from the store, as a float.
+
+        None when the node has no literal for ``prop`` or it is not numeric.
+        """
         for triple in self.store.match(node, prop, None):
             if isinstance(triple.o, Literal):
                 try:
@@ -564,9 +538,9 @@ class QueryExecutor:
             node = triple.s
             if not isinstance(node, IRI):
                 continue
-            lon = self._node_literal(node, V.PROP_LON, {})
-            lat = self._node_literal(node, V.PROP_LAT, {})
-            t = self._node_literal(node, V.PROP_TIMESTAMP, {})
+            lon = self._node_literal(node, V.PROP_LON)
+            lat = self._node_literal(node, V.PROP_LAT)
+            t = self._node_literal(node, V.PROP_TIMESTAMP)
             if lon is None or lat is None or t is None:
                 continue
             if bbox.contains(lon, lat) and t_from <= t <= t_to:

@@ -35,6 +35,7 @@ from repro.query.ast import (
     CompareFilter,
     Filter,
     OrderBy,
+    PatternTerm,
     STWithinFilter,
     SelectQuery,
     TriplePattern,
@@ -218,7 +219,7 @@ class _Parser:
         self._expect_punct(".")
         return TriplePattern(s, p, o)
 
-    def _parse_term(self):
+    def _parse_term(self) -> PatternTerm:
         kind, value = self._next()
         if kind == "var":
             return Variable(value[1:])

@@ -1,8 +1,8 @@
 """Real sharded multi-process execution of the mobility pipeline.
 
-Where :mod:`repro.streams.parallel` and :mod:`repro.store.parallel`
-*model* scale-out cost in one process, this subsystem actually executes
-it: the stream is split by a stable entity-key hash
+This subsystem is where the pipeline runs in parallel (the store's
+partitions are scanned serially, in process, by the query executor):
+the stream is split by a stable entity-key hash
 (:class:`ShardRouter`), each shard runs a full
 :class:`~repro.core.pipeline.MobilityPipeline` in its own worker process
 (:class:`~repro.runtime.pool.WorkerPool`, spawn-safe, bounded queues,

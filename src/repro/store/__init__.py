@@ -10,8 +10,8 @@ parallel RDF stores, using sophisticated RDF partitioning algorithms":
 - :mod:`repro.store.partition` — partitioning strategies: hash (baseline),
   uniform spatial grid, Hilbert-curve ranges (locality + balance).
 - :mod:`repro.store.parallel` — the multi-partition store with
-  subject-document routing, partition pruning by spatio-temporal key and a
-  simulated-parallel execution cost model.
+  subject-document routing and partition pruning by spatio-temporal key;
+  a query scans the surviving partitions serially, in process.
 """
 
 from repro.store.dictionary import TermDictionary

@@ -6,12 +6,12 @@ subject hash otherwise). Star-shaped query fragments therefore evaluate
 partition-locally, and spatially selective queries touch only the
 partitions whose key ranges intersect the query region.
 
-Parallelism is simulated: partitions are plain in-process structures, and
-the executor measures per-partition work to model the makespan a real
-cluster would see (max over partitions + coordination overhead). The
-paper's claims under test — partition balance, pruning power, relative
-speedup — survive this substitution; absolute cluster numbers do not,
-and EXPERIMENTS.md says so.
+Partitions are plain in-process structures that a query scans one after
+another, and the executor reports that serial scan as measured wall time
+(``ExecutionReport.scan_s``). What a partitioning strategy buys here is
+balance and pruning — fewer and lighter partitions to scan — measured on
+one core. Execution in real worker processes is :mod:`repro.runtime`'s
+job, and :mod:`repro.serving` fans reads out across its shards.
 """
 
 from __future__ import annotations

@@ -38,7 +38,6 @@ from repro.streams.windows import (
 )
 from repro.streams.topology import Topology, StreamRunner
 from repro.streams.replay import ReplayLog, replay, replay_instant
-from repro.streams.parallel import ParallelKeyedRunner, ParallelRunReport
 from repro.streams.checkpoint import (
     Checkpoint,
     CheckpointStore,
@@ -82,8 +81,6 @@ __all__ = [
     "ReplayLog",
     "replay",
     "replay_instant",
-    "ParallelKeyedRunner",
-    "ParallelRunReport",
     "Checkpoint",
     "StatefulMixin",
     "CheckpointStore",

@@ -52,6 +52,7 @@ def test_typed_core_covers_the_digest_feeders():
         "src/repro/linkage",
         "src/repro/sources",
         "src/repro/store",
+        "src/repro/query",
     } <= entries
 
 

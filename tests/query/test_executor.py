@@ -166,11 +166,10 @@ class TestHelpers:
         with pytest.raises(ValueError):
             loaded.knn_nodes(25.0, 37.0, k=0)
 
-    def test_report_speedup_fields(self, loaded):
+    def test_report_scan_fields(self, loaded):
         __, info = loaded.range_query(BBox(22.0, 35.0, 29.0, 41.0))
-        assert info.sequential_s >= 0.0
-        assert info.makespan_s > 0.0
-        assert info.simulated_speedup >= 0.0
+        assert info.scan_s > 0.0
+        assert info.total_s >= info.scan_s
 
 
 class TestHashStoreEquivalence:

@@ -19,16 +19,12 @@ import hashlib, json
 from repro.hashing import stable_hash
 from repro.model.reports import PositionReport
 from repro.runtime.sharding import ShardRouter
-from repro.streams.parallel import ParallelKeyedRunner
-from repro.streams.operators import MapOperator
 
 keys = [f"V{i:04d}" for i in range(500)] + ["", "HOT", "\\u00e5\\u00e4\\u00f6"]
 router = ShardRouter(7)
-runner = ParallelKeyedRunner(lambda: MapOperator(lambda v: v), 7, key_fn=lambda v: v)
 payload = {
     "hashes": [stable_hash(k) for k in keys],
     "shards": [router.shard_of_key(k) for k in keys],
-    "tasks": [runner._route(k) for k in keys],
 }
 print(hashlib.sha256(json.dumps(payload).encode()).hexdigest())
 """

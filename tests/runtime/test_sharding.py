@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.hashing import stable_hash, stable_shard
 from repro.model.reports import PositionReport
-from repro.runtime.sharding import ShardRouter, entity_key
+from repro.runtime.sharding import ShardRouter
 
 keys = st.one_of(
     st.text(max_size=30),
@@ -96,19 +96,6 @@ class TestShardRouter:
             for r in part:
                 assert router.route(r) == part_idx
                 assert router.shard_of_key(r.entity_id) == part_idx
-
-    def test_agrees_with_simulated_runner_routing(self):
-        """Real and simulated parallelism share one routing function."""
-        from repro.streams.parallel import ParallelKeyedRunner
-        from repro.streams.operators import MapOperator
-
-        runner = ParallelKeyedRunner(
-            lambda: MapOperator(lambda v: v), 4, key_fn=entity_key
-        )
-        router = ShardRouter(4)
-        for i in range(50):
-            r = report(f"V{i:03d}")
-            assert runner._route(r) == router.route(r)
 
     def test_single_shard_takes_everything(self):
         reports = [report(f"V{i}") for i in range(20)]
