@@ -148,9 +148,7 @@ def test_e8b_planner_ablation(benchmark, maritime_fleet):
     def run_with(estimator):
         ordered = order_patterns(query.patterns, estimator=estimator)
         started = time.perf_counter()
-        count = sum(
-            1 for __row in executor._join(ordered, {}, partitions=None)
-        )
+        count = len(executor._scan(executor._compile(ordered, query.filters), None))
         return (count, (time.perf_counter() - started) * 1000.0, ordered[0] is anchor)
 
     def worst_case(pattern, bound):

@@ -10,6 +10,18 @@ Execution strategy:
 2. Any other query shape is evaluated against the global view (each
    triple pattern scans all partitions) — always correct, never pruned.
 
+Either way the join runs on dictionary ids. Each ``execute`` compiles
+the planned patterns once: constants are encoded against the store
+dictionary (an unknown constant matches nothing, so nothing is
+scanned), each variable gets a slot in an ``int`` tuple row, and each
+filter is attached to the first pattern that binds its variable — every
+filter reads exactly one variable, so checking it there drops the row
+as early as possible without changing the result. ``ST_WITHIN`` reads
+the node's lon/lat/time object ids and decodes only those literals.
+Terms are decoded once, for the rows that leave the scan. Ids are
+one-to-one with the dictionary's equality classes of terms, so id
+equality is term equality and the id-level join is exact.
+
 Partitions are scanned one after another in the calling process, and
 every phase time in the :class:`ExecutionReport` is measured wall time:
 what pruning buys is read directly off ``scan_s`` and
@@ -21,7 +33,7 @@ fan-out).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.core.results import canonical_bytes, digest_of
 from repro.geo.bbox import BBox
@@ -50,6 +62,39 @@ from repro.rdf.transform import entity_iri
 from repro.store.parallel import ParallelRDFStore
 
 Bindings = dict[Variable, Term]
+#: One solution inside the scan: the ids of the variables bound so far,
+#: by slot (slots are numbered in the order the plan binds variables).
+IdRow = tuple[int, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class _Step:
+    """One planned pattern, compiled against the store dictionary.
+
+    Attributes:
+        consts: Constant id per position (s, p, o); None at variables.
+        reads: Row slot per position holding a variable an earlier step
+            bound; None elsewhere.
+        binds: Positions whose ids extend the row — one per variable this
+            step binds first, in slot order.
+        repeats: Position pairs that must hold the same id (a variable
+            bound here that occurs twice in the pattern).
+        filters: ``(slot, test)`` for each filter on a variable bound here.
+    """
+
+    consts: tuple[int | None, int | None, int | None]
+    reads: tuple[int | None, int | None, int | None]
+    binds: tuple[int, ...]
+    repeats: tuple[tuple[int, int], ...]
+    filters: tuple[tuple[int, Callable[[int], bool]], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class _Program:
+    """A query's join compiled once per execute: steps in plan order."""
+
+    steps: tuple[_Step, ...]
+    slots: dict[Variable, int]
 
 
 @dataclass
@@ -420,12 +465,11 @@ class QueryExecutor:
         report.strategy = "partition-local"
         report.partitions_scanned = len(partitions)
         report.pruning_ratio = 1.0 - (len(partitions) / max(1, self.store.n_partitions))
-        return [
-            row
-            for idx in partitions
-            for row in self._join(ordered, {}, partitions=(idx,))
-            if self._passes_filters(row, query.filters)
-        ]
+        program = self._compile(ordered, query.filters)
+        if program is None:
+            return []
+        rows = [row for idx in partitions for row in self._scan(program, (idx,))]
+        return self._decode(rows, program, query)
 
     def _execute_global(
         self,
@@ -435,11 +479,10 @@ class QueryExecutor:
     ) -> list[Bindings]:
         report.strategy = "global"
         report.partitions_scanned = self.store.n_partitions
-        return [
-            row
-            for row in self._join(ordered, {}, partitions=None)
-            if self._passes_filters(row, query.filters)
-        ]
+        program = self._compile(ordered, query.filters)
+        if program is None:
+            return []
+        return self._decode(self._scan(program, None), program, query)
 
     def _prune_partitions(self, query: SelectQuery, star_var: Variable) -> set[int]:
         for flt in query.filters:
@@ -447,101 +490,191 @@ class QueryExecutor:
                 return self.store.partitions_for_bbox(flt.bbox)
         return set(range(self.store.n_partitions))
 
-    # -- BGP join -------------------------------------------------------------
+    # -- id-level BGP join ----------------------------------------------------
 
-    def _join(
-        self,
-        patterns: list[TriplePattern],
-        bindings: Bindings,
-        partitions: Iterable[int] | None,
-    ) -> Iterator[Bindings]:
-        if not patterns:
-            yield dict(bindings)
-            return
-        head, *tail = patterns
-        s = self._resolve(head.s, bindings)
-        p = self._resolve(head.p, bindings)
-        o = self._resolve(head.o, bindings)
-        for triple in self.store.match(s, p, o, partitions=partitions):
-            extended = self._extend(head, triple, bindings)
-            if extended is None:
-                continue
-            yield from self._join(tail, extended, partitions)
+    def _compile(
+        self, patterns: list[TriplePattern], filters: tuple[Filter, ...]
+    ) -> _Program | None:
+        """Compile planned patterns + filters; None when no row can match.
 
-    @staticmethod
-    def _resolve(term: Any, bindings: Bindings) -> Term | None:
-        if isinstance(term, Variable):
-            return bindings.get(term)
-        return term
+        No row matches when a constant is not in the dictionary or a
+        filter reads a variable that no pattern binds.
+        """
+        try_encode = self.store.dictionary.try_encode
+        slots: dict[Variable, int] = {}
+        steps: list[_Step] = []
+        for pattern in patterns:
+            consts: list[int | None] = []
+            reads: list[int | None] = []
+            first: dict[Variable, int] = {}
+            repeats: list[tuple[int, int]] = []
+            for position, term in enumerate((pattern.s, pattern.p, pattern.o)):
+                if not isinstance(term, Variable):
+                    term_id = try_encode(term)
+                    if term_id is None:
+                        return None
+                    consts.append(term_id)
+                    reads.append(None)
+                    continue
+                consts.append(None)
+                reads.append(slots.get(term))
+                if term in slots:
+                    continue
+                if term in first:
+                    repeats.append((first[term], position))
+                else:
+                    first[term] = position
+            for var in first:
+                slots[var] = len(slots)
+            steps.append(
+                _Step(
+                    consts=(consts[0], consts[1], consts[2]),
+                    reads=(reads[0], reads[1], reads[2]),
+                    binds=tuple(first.values()),
+                    repeats=tuple(repeats),
+                    filters=tuple(
+                        (slots[flt.var], self._filter_test(flt))
+                        for flt in filters
+                        if flt.var in first
+                    ),
+                )
+            )
+        if any(flt.var not in slots for flt in filters):
+            return None
+        return _Program(steps=tuple(steps), slots=slots)
 
-    @staticmethod
-    def _extend(pattern: TriplePattern, triple: Triple, bindings: Bindings) -> Bindings | None:
-        extended = dict(bindings)
-        for slot, value in ((pattern.s, triple.s), (pattern.p, triple.p), (pattern.o, triple.o)):
-            if isinstance(slot, Variable):
-                bound = extended.get(slot)
-                if bound is None:
-                    extended[slot] = value
-                elif bound != value:
-                    return None
-        return extended
+    def _scan(self, program: _Program, partitions: tuple[int, ...] | None) -> list[IdRow]:
+        """Run the compiled join; id rows in nested-loop order.
+
+        Each step extends every row with the matches of its pattern in
+        :meth:`ParallelRDFStore.match_ids` order, so the rows come out in
+        the order a depth-first nested-loop join would produce them.
+        """
+        match_ids = self.store.match_ids
+        rows: list[IdRow] = [()]
+        for step in program.steps:
+            c_s, c_p, c_o = step.consts
+            r_s, r_p, r_o = step.reads
+            binds, repeats, filters = step.binds, step.repeats, step.filters
+            extended: list[IdRow] = []
+            for row in rows:
+                hits = match_ids(
+                    c_s if r_s is None else row[r_s],
+                    c_p if r_p is None else row[r_p],
+                    c_o if r_o is None else row[r_o],
+                    partitions,
+                )
+                for triple in hits:
+                    if repeats and any(triple[a] != triple[b] for a, b in repeats):
+                        continue
+                    new = row + tuple([triple[position] for position in binds])
+                    for slot, test in filters:
+                        if not test(new[slot]):
+                            break
+                    else:
+                        extended.append(new)
+            rows = extended
+            if not rows:
+                break
+        return rows
+
+    def _decode(
+        self, rows: list[IdRow], program: _Program, query: SelectQuery
+    ) -> list[Bindings]:
+        """Bindings of the variables post-processing reads (projection + ORDER BY)."""
+        wanted = list(query.select)
+        if query.order_by is not None and query.order_by.var not in wanted:
+            wanted.append(query.order_by.var)
+        picks = [(var, program.slots[var]) for var in wanted]
+        decode = self.store.dictionary.decode
+        return [{var: decode(row[slot]) for var, slot in picks} for row in rows]
 
     # -- filters ----------------------------------------------------------------
 
-    def _passes_filters(self, row: Bindings, filters: tuple[Filter, ...]) -> bool:
-        for flt in filters:
-            if isinstance(flt, CompareFilter):
-                term = row.get(flt.var)
-                if term is None or not flt.test(term):
-                    return False
-            elif isinstance(flt, STWithinFilter):
-                if not self._st_within(row, flt):
-                    return False
-        return True
+    def _filter_test(self, flt: Filter) -> Callable[[int], bool]:
+        """The filter as a test on its variable's id."""
+        if isinstance(flt, CompareFilter):
+            decode = self.store.dictionary.decode
+            compare = flt.test
+            return lambda term_id: compare(decode(term_id))
+        return self._st_within_test(flt)
 
-    def _st_within(self, row: Bindings, flt: STWithinFilter) -> bool:
-        node = row.get(flt.var)
-        if not isinstance(node, IRI):
-            return False
-        lon = self._node_literal(node, V.PROP_LON)
-        lat = self._node_literal(node, V.PROP_LAT)
-        t = self._node_literal(node, V.PROP_TIMESTAMP)
-        if lon is None or lat is None:
-            return False
-        if not flt.bbox.contains(lon, lat):
-            return False
-        if t is None:
-            return flt.t_from == float("-inf") and flt.t_to == float("inf")
-        return flt.t_from <= t <= flt.t_to
+    def _st_within_test(self, flt: STWithinFilter) -> Callable[[int], bool]:
+        """``ST_WITHIN`` on a node id, from its first lon/lat/time literals.
 
-    def _node_literal(self, node: IRI, prop: IRI) -> float | None:
-        """A node's first literal ``prop`` value from the store, as a float.
-
-        None when the node has no literal for ``prop`` or it is not numeric.
+        A node that is not an IRI, or lacks a numeric lon or lat, fails;
+        one without a numeric time passes only an unbounded interval.
         """
-        for triple in self.store.match(node, prop, None):
-            if isinstance(triple.o, Literal):
-                try:
-                    return float(triple.o.value)
-                except (TypeError, ValueError):
-                    return None
-        return None
+        try_encode = self.store.dictionary.try_encode
+        decode = self.store.dictionary.decode
+        value = self._literal_reader()
+        lon_id = try_encode(V.PROP_LON)
+        lat_id = try_encode(V.PROP_LAT)
+        t_id = try_encode(V.PROP_TIMESTAMP)
+        bbox, t_from, t_to = flt.bbox, flt.t_from, flt.t_to
+        any_time = t_from == float("-inf") and t_to == float("inf")
+
+        def test(node: int) -> bool:
+            if not isinstance(decode(node), IRI):
+                return False
+            lon = value(node, lon_id)
+            lat = value(node, lat_id)
+            if lon is None or lat is None or not bbox.contains(lon, lat):
+                return False
+            t = value(node, t_id)
+            if t is None:
+                return any_time
+            return t_from <= t <= t_to
+
+        return test
+
+    def _literal_reader(self) -> Callable[[int, int | None], float | None]:
+        """``value(node, prop)``: a node's first literal ``prop`` value, as a float.
+
+        None when the node has no literal for ``prop`` (or ``prop`` is
+        not in the dictionary) or the literal is not numeric; object ids
+        are decoded only up to that first literal.
+        """
+        match_ids = self.store.match_ids
+        decode = self.store.dictionary.decode
+
+        def value(node: int, prop: int | None) -> float | None:
+            if prop is None:
+                return None
+            for __s, __p, o in match_ids(node, prop):
+                term = decode(o)
+                if isinstance(term, Literal):
+                    try:
+                        return float(term.value)
+                    except (TypeError, ValueError):
+                        return None
+            return None
+
+        return value
 
     def _nodes_in_range(
         self, bbox: BBox, t_from: float, t_to: float
     ) -> Iterator[tuple[IRI, float, float, float]]:
         """Stream (node, lon, lat, t) of position nodes in a space-time box."""
         partitions = self.store.partitions_for_bbox(bbox)
-        for triple in self.store.match(
-            None, V.PROP_TYPE, V.CLASS_SEMANTIC_NODE, partitions=partitions
-        ):
-            node = triple.s
-            if not isinstance(node, IRI):
+        try_encode = self.store.dictionary.try_encode
+        type_id = try_encode(V.PROP_TYPE)
+        node_class = try_encode(V.CLASS_SEMANTIC_NODE)
+        if type_id is None or node_class is None:
+            return
+        lon_id = try_encode(V.PROP_LON)
+        lat_id = try_encode(V.PROP_LAT)
+        t_id = try_encode(V.PROP_TIMESTAMP)
+        decode = self.store.dictionary.decode
+        value = self._literal_reader()
+        for node, __p, __o in self.store.match_ids(None, type_id, node_class, partitions):
+            term = decode(node)
+            if not isinstance(term, IRI):
                 continue
-            lon = self._node_literal(node, V.PROP_LON)
-            lat = self._node_literal(node, V.PROP_LAT)
-            t = self._node_literal(node, V.PROP_TIMESTAMP)
+            lon = value(node, lon_id)
+            lat = value(node, lat_id)
+            t = value(node, t_id)
             if lon is None or lat is None or t is None:
                 continue
             if bbox.contains(lon, lat) and t_from <= t <= t_to:
-                yield (node, lon, lat, t)
+                yield (term, lon, lat, t)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
+from itertools import islice
 from typing import Any, Mapping, Sequence
 
 from repro.core.pipeline import MobilityPipeline, PipelineSpec
@@ -537,7 +538,17 @@ class ServingRuntime:
         if limit <= 0:
             raise ValueError("limit must be positive")
         route = self.router.plan(None)
-        events = [e for e in self._events if e["seq"] >= since][:limit]
+        # The log holds the contiguous sequence numbers
+        # [event_seq - len, event_seq), so ``since`` is an offset into it;
+        # the window is walked from whichever end of the deque is nearer.
+        log = self._events
+        start = min(max(since - (self._event_seq - len(log)), 0), len(log))
+        stop = min(start + limit, len(log))
+        if start <= len(log) - stop:
+            events = list(islice(log, start, stop))
+        else:
+            events = list(islice(reversed(log), len(log) - stop, len(log) - start))
+            events.reverse()
         payload = {
             "n_results": len(events),
             "next_seq": (events[-1]["seq"] + 1) if events else self._event_seq,

@@ -17,7 +17,8 @@ job, and :mod:`repro.serving` fans reads out across its shards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -237,6 +238,46 @@ class ParallelRDFStore:
 
     # -- matching --------------------------------------------------------------
 
+    def match_ids(
+        self,
+        s: int | None = None,
+        p: int | None = None,
+        o: int | None = None,
+        partitions: Iterable[int] | None = None,
+    ) -> Iterator[tuple[int, int, int]]:
+        """Iterate id triples matching an id pattern; ``None`` is a wildcard.
+
+        The store's one scan path: partitions in the given order (all,
+        ascending, by default), each in :meth:`TripleStore.match` order.
+        A bound subject scans only the partition it was placed on — the
+        placement contract keeps every triple of a subject there — and
+        none when the subject was never placed or its partition is not
+        among ``partitions``. The ``store.match_calls`` /
+        ``store.partition_scans`` counters move when this is called.
+
+        Args:
+            partitions: Restrict the scan to these partitions (pruning);
+                default scans all.
+        """
+        if s is not None:
+            placed = self._subject_partition.get(s)
+            if placed is None or (partitions is not None and placed not in partitions):
+                targets: Sequence[int] = ()
+            else:
+                targets = (placed,)
+        elif partitions is None:
+            targets = range(self.n_partitions)
+        else:
+            targets = tuple(partitions)
+        if self._obs:
+            self._match_counter.inc()
+            self._scan_counter.inc(len(targets))
+        if len(targets) == 1:
+            return self.partitions[targets[0]].match(s, p, o)
+        return chain.from_iterable(
+            self.partitions[idx].match(s, p, o) for idx in targets
+        )
+
     def match(
         self,
         s: Term | None = None,
@@ -245,6 +286,10 @@ class ParallelRDFStore:
         partitions: Iterable[int] | None = None,
     ) -> Iterator[Triple]:
         """Iterate decoded triples matching a term pattern.
+
+        Encodes the pattern, scans with :meth:`match_ids` and decodes each
+        hit; a term the dictionary has never seen matches nothing and
+        scans nothing.
 
         Args:
             partitions: Restrict the scan to these partitions (pruning);
@@ -259,16 +304,9 @@ class ParallelRDFStore:
                 if term_id is None:
                     return
                 ids.append(term_id)
-        targets = (
-            range(self.n_partitions) if partitions is None else list(partitions)
-        )
-        if self._obs:
-            self._match_counter.inc()
-            self._scan_counter.inc(len(targets))
         decode = self.dictionary.decode
-        for idx in targets:
-            for ss, pp, oo in self.partitions[idx].match(*ids):
-                yield Triple(decode(ss), decode(pp), decode(oo))
+        for ss, pp, oo in self.match_ids(*ids, partitions=partitions):
+            yield Triple(decode(ss), decode(pp), decode(oo))
 
     def count(self, s: Term | None = None, p: Term | None = None, o: Term | None = None) -> int:
         """Count matches of a term pattern across all partitions."""

@@ -63,6 +63,18 @@ class TestOrderBy:
         with pytest.raises(ValueError):
             node_time_query(order_by=OrderBy(Variable("zzz")))
 
+    def test_order_by_unprojected_variable(self, executor):
+        n, t = Variable("n"), Variable("t")
+        full, __ = executor.execute(node_time_query(order_by=OrderBy(t, descending=True)))
+        query = SelectQuery(
+            select=(n,),
+            patterns=node_time_query().patterns,
+            order_by=OrderBy(t, descending=True),
+        )
+        rows, __ = executor.execute(query)
+        assert rows == [{n: row[n]} for row in full]
+        assert [row[t].value for row in full] != sorted(row[t].value for row in full)
+
 
 class TestLimit:
     def test_limit_truncates(self, executor):

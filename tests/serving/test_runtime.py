@@ -52,6 +52,30 @@ def test_events_cursor_pagination(warm_runtime):
     assert done.payload["next_seq"] == total
 
 
+def test_events_window_of_a_wrapped_log(serving_spec, serving_reports):
+    """Offset slicing serves exactly what a full filter of the log would."""
+    runtime = build_runtime(serving_spec, max_events=7)
+    for start in range(0, len(serving_reports), 16):
+        runtime.ingest(serving_reports[start : start + 16])
+    total = runtime.event_seq()
+    assert total > 3 * 7, "the log must have wrapped past maxlen"
+    oldest = total - 7
+    assert [e["seq"] for e in runtime._events] == list(range(oldest, total))
+
+    for since in (-5, 0, oldest - 1, oldest, oldest + 1, oldest + 3, total - 1, total, total + 4):
+        for limit in (1, 2, 3, 4, 7, 50):
+            expected = [e for e in runtime._events if e["seq"] >= since][:limit]
+            response = runtime.handle(
+                "events", {"since": since, "limit": limit}, bypass_cache=True
+            )
+            assert response.payload == {
+                "n_results": len(expected),
+                "next_seq": expected[-1]["seq"] + 1 if expected else total,
+                "events": expected,
+            }, (since, limit)
+            assert response.digest == digest_of(response.payload)
+
+
 def test_empty_ingest_is_a_noop(warm_runtime):
     seq = warm_runtime.event_seq()
     summary = warm_runtime.ingest([])

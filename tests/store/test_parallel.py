@@ -1,10 +1,13 @@
 """Parallel RDF store: routing, matching, stats."""
 
+import pickle
+
 import pytest
 
 from repro.geo.bbox import BBox
 from repro.geo.grid import GeoGrid
 from repro.model.reports import PositionReport
+from repro.obs.metrics import MetricsRegistry
 from repro.rdf import vocabulary as V
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.rdf.transform import RdfTransformer, position_node_iri
@@ -107,6 +110,80 @@ class TestMatching:
             store.add_document(transformer.report_to_triples(report(entity=f"V{i}")))
         assert store.count(None, V.PROP_TYPE, V.CLASS_SEMANTIC_NODE) == 7
         assert store.count(IRI("http://nowhere/x"), None, None) == 0
+
+
+def _every_partition(store, s, p, o):
+    """A bound-subject match the slow way: every partition, in order."""
+    ids = [None if term is None else store.dictionary.try_encode(term) for term in (s, p, o)]
+    decode = store.dictionary.decode
+    return [
+        Triple(decode(ss), decode(pp), decode(oo))
+        for partition in store.partitions
+        for ss, pp, oo in partition.match(*ids)
+    ]
+
+
+class TestSubjectBoundScan:
+    """A bound subject is scanned on the one partition it was placed on."""
+
+    @pytest.fixture()
+    def store(self, grid, transformer):
+        store = ParallelRDFStore(HilbertPartitioner(grid, 8), MetricsRegistry(enabled=True))
+        for i in range(12):
+            store.add_document(
+                transformer.report_to_triples(
+                    report(entity=f"V{i % 3}", t=float(i), lon=22.3 + 0.5 * i, lat=35.3 + 0.4 * i)
+                )
+            )
+        return store
+
+    @staticmethod
+    def assert_placed_scans(store):
+        """Every s-bound shape matches the all-partition scan, in one partition scan."""
+        scans = store.metrics.counter("store.partition_scans")
+        calls = store.metrics.counter("store.match_calls")
+        subjects = [store.dictionary.decode(s) for p in store.partitions for s in p.subjects()]
+        assert subjects
+        for subject in subjects:
+            for triple in _every_partition(store, subject, None, None):
+                p, o = triple.p, triple.o
+                for pattern in ((subject, None, None), (subject, p, None), (subject, None, o), (subject, p, o)):
+                    scans_before, calls_before = scans.value, calls.value
+                    assert list(store.match(*pattern)) == _every_partition(store, *pattern)
+                    assert (scans.value - scans_before, calls.value - calls_before) == (1, 1)
+
+    def test_bound_subject_scans_one_partition(self, store):
+        self.assert_placed_scans(store)
+
+    def test_after_remove_and_reinsert(self, store, transformer):
+        node = position_node_iri("V1", 4.0)
+        node_id = store.dictionary.try_encode(node)
+        old = [i for i, part in enumerate(store.partitions) if any(True for __ in part.match(s=node_id))]
+        assert store.remove_subject(node) > 0
+        assert list(store.match(node, None, None)) == []
+        # Re-inserted at the far corner: routed afresh, to another partition.
+        doc = transformer.report_to_triples(report(entity="V1", t=4.0, lon=28.8, lat=40.8))
+        assert doc[0].s == node
+        assert store.add_document(doc) not in old
+        assert set(store.match(node, None, None)) == set(doc)
+        self.assert_placed_scans(store)
+
+    def test_after_pickle_round_trip(self, store):
+        restored = pickle.loads(pickle.dumps(store, protocol=pickle.HIGHEST_PROTOCOL))
+        self.assert_placed_scans(restored)
+
+    def test_unplaced_or_excluded_subject_scans_nothing(self, store):
+        scans = store.metrics.counter("store.partition_scans")
+        # An entity IRI is only ever an object here: never placed.
+        entity = next(iter(store.match(None, V.PROP_OF_MOVING_OBJECT, None))).o
+        before = scans.value
+        assert list(store.match(entity, None, None)) == []
+        node = position_node_iri("V0", 0.0)
+        placed = store.add_document([Triple(node, V.PROP_NAME, Literal("n"))])
+        others = [i for i in range(store.n_partitions) if i != placed]
+        assert list(store.match(node, None, None, partitions=others)) == []
+        assert scans.value == before
+        assert list(store.match(node, None, None, partitions=[placed]))
 
 
 class TestStats:
