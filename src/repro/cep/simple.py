@@ -20,8 +20,9 @@ event-time order) and emits :class:`SimpleEvent` instances:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator, overload
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from repro.geo.geodesy import haversine_m, haversine_m_arrays
 from repro.geo.polygon import Polygon
 from repro.geo.zone_index import ZoneIndex
 from repro.model.entities import EntityRegistry
-from repro.model.events import EventSeverity, SimpleEvent
+from repro.model.events import EventKey, EventSeverity, SimpleEvent
 from repro.model.reports import PositionReport
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 
@@ -279,11 +280,11 @@ class SimpleEventExtractor:
     ) -> list[SimpleEvent]:
         """Proximity events of ``report`` against ``others``, in their order.
 
-        Hit decision and ``distance_m`` come from the scalar kernel. The
-        columnar pipeline walk calls this with the candidates its as-of
-        pair join kept (a superset of the hits, fewer than
-        ``_VECTOR_MIN_CANDIDATES`` fresh), so both paths share one decision
-        and one payload.
+        Hit decision and ``distance_m`` come from the scalar kernel — the
+        per-record path below ``_VECTOR_MIN_CANDIDATES`` fresh candidates.
+        The columnar pipeline decides the same hits in its pair join and
+        keeps them as a :class:`ProximityRun`, whose rows are built from
+        the same floats by the same scalar kernel when they are read.
         """
         radius = self.config.proximity_radius_m
         return [
@@ -325,3 +326,73 @@ class SimpleEventExtractor:
             severity=severity,
             attributes=attributes,
         )
+
+
+def within_radius(
+    radius: float, lon1: np.ndarray, lat1: np.ndarray, lon2: np.ndarray, lat2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Which point pairs lie within ``radius``, as :func:`haversine_m` decides.
+
+    Returns ``(near, hit, band)``. The vector and scalar kernels agree
+    within a few ulp (pinned by ``TestKernelParity``), far inside 1e-9
+    relative, so a vector distance at most ``radius·(1−1e-9)`` is a scalar
+    hit and one above ``radius·(1+1e-9)`` a scalar miss; only the ``band``
+    pairs between are evaluated with the scalar kernel. ``near`` marks the
+    pairs not above the band: a superset of the hits under either kernel.
+    """
+    pair = (lon1, lat1, lon2, lat2)
+    d = haversine_m_arrays(*pair)
+    near = d <= radius * (1.0 + 1e-9)
+    hit = d <= radius * (1.0 - 1e-9)
+    band = np.flatnonzero(near & ~hit)
+    for k, *coords in zip(band.tolist(), *(c[band].tolist() for c in pair)):
+        hit[k] = haversine_m(*coords) <= radius
+    return near, hit, int(band.size)
+
+
+def _proximity_row(report: PositionReport, other: PositionReport) -> SimpleEvent:
+    return SimpleEventExtractor._proximity_event(
+        report, other, haversine_m(report.lon, report.lat, other.lon, other.lat)
+    )
+
+
+class ProximityRun(Sequence[SimpleEvent]):
+    """Proximity events held as the report pairs that raise them.
+
+    Row ``i`` is the event of ``subjects[i]`` against ``others[i]``. A run
+    stores nothing computed: a row is built on read by
+    :meth:`SimpleEventExtractor._proximity_event` with ``distance_m`` from
+    :func:`haversine_m` — the same floats through the same function as
+    :meth:`SimpleEventExtractor._scalar_proximity`, so every field equals
+    the per-record path's. A :class:`~repro.model.events.SimpleEventLog`
+    chunk; :meth:`keys` reads no distance and builds no row.
+    """
+
+    __slots__ = ("subjects", "others")
+
+    def __init__(
+        self, subjects: list[PositionReport], others: list[PositionReport]
+    ) -> None:
+        self.subjects = subjects
+        self.others = others
+
+    def __len__(self) -> int:
+        return len(self.subjects)
+
+    def __iter__(self) -> Iterator[SimpleEvent]:
+        return map(_proximity_row, self.subjects, self.others)
+
+    @overload
+    def __getitem__(self, index: int) -> SimpleEvent: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[SimpleEvent]: ...
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(_proximity_row, self.subjects[index], self.others[index]))
+        return _proximity_row(self.subjects[index], self.others[index])
+
+    def keys(self, start: int = 0) -> Iterator[EventKey]:
+        """``(event_type, entity_id, t)`` of rows ``start:``, no row built."""
+        return (("proximity", r.entity_id, r.t) for r in self.subjects[start:])

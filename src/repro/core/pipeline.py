@@ -34,7 +34,9 @@ from repro.cep.detectors import (
     LoiteringDetector,
     RendezvousDetector,
 )
-from repro.cep.simple import _METERS_PER_DEG_LAT_FLOOR, SimpleEventExtractor
+from repro.cep.simple import (
+    _METERS_PER_DEG_LAT_FLOOR, ProximityRun, SimpleEventExtractor, within_radius,
+)
 from repro.core.config import PipelineConfig
 from repro.core.recordbatch import RecordBatch
 from repro.core.results import canonical_bytes, digest_of
@@ -48,7 +50,7 @@ from repro.insitu.filters import DeduplicateFilter, PlausibilityFilter
 from repro.insitu.synopses import SynopsesGenerator
 from repro.model.entities import EntityRegistry
 from repro.obs.clock import monotonic
-from repro.model.events import ComplexEvent, SimpleEvent
+from repro.model.events import ComplexEvent, SimpleEvent, SimpleEventLog
 from repro.model.points import Domain
 from repro.model.reports import PositionReport
 from repro.obs.metrics import MetricsRegistry
@@ -82,8 +84,9 @@ _COLUMNAR_MIN_BATCH = 16
 #: whenever a component's pickled state changes shape. Version 1 is the
 #: unversioned layout (a bare pickled component dict) written before the
 #: field existed; version 2 pickles the term dictionary as sealed chunks
-#: and every partition as its insert/remove log.
-SNAPSHOT_FORMAT = 2
+#: and every partition as its insert/remove log; version 3 holds the
+#: result's simple events as a chunked ``SimpleEventLog``.
+SNAPSHOT_FORMAT = 3
 _SNAPSHOT_MAGIC = b"RPSNAP"
 _SNAPSHOT_HEADER = _SNAPSHOT_MAGIC + SNAPSHOT_FORMAT.to_bytes(2, "big")
 
@@ -232,7 +235,7 @@ class PipelineResult:
     reports_clean: int = 0
     reports_kept: int = 0
     triples_stored: int = 0
-    simple_events: list[SimpleEvent] = field(default_factory=list)
+    simple_events: SimpleEventLog = field(default_factory=SimpleEventLog)
     complex_events: list[ComplexEvent] = field(default_factory=list)
     stage_latency: dict[str, dict[str, float]] = field(default_factory=dict)
     end_to_end: dict[str, float] = field(default_factory=dict)
@@ -330,9 +333,7 @@ class PipelineResult:
             "records_recovered": self.records_recovered,
             "stage_failures": dict(sorted(self.stage_failures.items())),
             "stage_retries": dict(sorted(self.stage_retries.items())),
-            "simple_events": [
-                [e.event_type, e.entity_id, e.t] for e in self.simple_events
-            ],
+            "simple_events": [list(k) for k in self.simple_events.keys()],
             "complex_events": [
                 [e.event_type, list(e.entity_ids), e.t_start, e.t_end]
                 for e in self.complex_events
@@ -760,12 +761,12 @@ class MobilityPipeline:
             # entirely up front with vectorized exact-or-conservative
             # guards: `ex_int` (simple-event extraction) and `coll_int`
             # (collision pair checks). Proximity is the exception: the
-            # pair join hands the walk the candidates themselves, so a
-            # record raising nothing else emits without replaying.
+            # pair join decides the hits itself, and the walk logs those
+            # of records raising nothing else as runs, unbuilt.
             # Everything else provably emits nothing and only advances
             # per-entity latest state, applied lazily by the walk.
             ex_int, loit_map = self._segment_guards(rb, mask, inside_cols)
-            prox_start, prox_other, prox_vec, coll_may = self._pair_guards(rb, active)
+            prox, prox_vec, prox_band, coll_may = self._pair_guards(rb, active)
             ex_int[active] |= prox_vec
             coll_int = np.zeros(n, dtype=bool)
             coll_int[active] = coll_may
@@ -775,9 +776,9 @@ class MobilityPipeline:
                 counter("pipeline.replay.extractor").inc(int(ex_int.sum()))
                 counter("pipeline.replay.collision").inc(int(coll_may.sum()))
                 counter("pipeline.replay.proximity_vector_kernel").inc(int(prox_vec.sum()))
+                counter("pipeline.replay.proximity_band").inc(prox_band)
             out = self._guarded_walk(
-                rb, active_l, ex_int.tolist(), coll_int.tolist(), loit_map,
-                prox_start, prox_other,
+                rb, active_l, ex_int.tolist(), coll_int.tolist(), loit_map, prox
             )
 
         if obs:
@@ -981,7 +982,7 @@ class MobilityPipeline:
 
     def _pair_guards(
         self, rb: RecordBatch, active: np.ndarray
-    ) -> tuple[list[int], list[PositionReport], np.ndarray, np.ndarray]:
+    ) -> tuple[tuple[list[int], list, list], np.ndarray, int, np.ndarray]:
         """One as-of pair join over the active records.
 
         For each record and each other entity, the other's position "as
@@ -992,26 +993,25 @@ class MobilityPipeline:
         wherever the join is consumed, so ``src2`` always points at a
         *strictly earlier* row.
 
-        Returns the proximity candidates (:meth:`_proximity_pairs`) and
-        the mask, aligned with ``active``, of rows that may fire the
+        Returns the proximity side (:meth:`_proximity_pairs`) and the
+        mask, aligned with ``active``, of rows that may fire the
         collision detector.
         """
         n_active = int(active.size)
         if n_active == 0:
             none = np.zeros(0, dtype=bool)
-            return [0], [], none, none
+            return ([0], [], []), none, 0, none
         codes = rb.entity_codes[active]
         eye = codes[None, :] == np.arange(len(rb.vocabulary))[:, None]
         src2 = np.maximum.accumulate(
             np.where(eye, np.arange(n_active)[None, :], -1), axis=1
         )
-        prox_start, prox_other, prox_vec = self._proximity_pairs(rb, active, eye, src2)
-        coll_may = self._collision_guard(rb, active, eye, src2)
-        return prox_start, prox_other, prox_vec, coll_may
+        prox, prox_vec, prox_band = self._proximity_pairs(rb, active, eye, src2)
+        return prox, prox_vec, prox_band, self._collision_guard(rb, active, eye, src2)
 
     def _proximity_pairs(
         self, rb: RecordBatch, active: np.ndarray, eye: np.ndarray, src2: np.ndarray
-    ) -> tuple[list[int], list[PositionReport], np.ndarray]:
+    ) -> tuple[tuple[list[int], list, list], np.ndarray, int]:
         """The proximity side of the pair join, as events-to-be.
 
         One join row per entity that can be a candidate at all, one
@@ -1021,17 +1021,16 @@ class MobilityPipeline:
         batch's earliest record), then the batch's new entities by first
         appearance — the order ``_proximity_events`` scans in. The
         candidate mask replicates its freshness and latitude-band
-        prefilters exactly (same floats, same IEEE compares); candidates
-        within the radius banded by 1e-9 relative (vector-vs-scalar
-        haversine ulp spread, subset-vs-full evaluation) are a superset
-        of the hits, which the walk decides with the scalar kernel.
+        prefilters exactly (same floats, same IEEE compares); hits are the
+        scalar kernel's decision (:func:`repro.cep.simple.within_radius`).
 
-        Returns ``(start, others, vector)``: the candidates of active
-        record ``i`` are ``others[start[i]:start[i + 1]]`` (the other
-        entity's as-of report, in scan order); ``vector`` marks records
-        with candidates whose fresh count reaches
+        Returns ``((start, subjects, others), vector, band)``: the hits of
+        active record ``i`` are ``start[i]:start[i + 1]`` of the subject
+        and other-entity as-of report lists, in scan order; ``vector``
+        marks records with near candidates whose fresh count reaches
         ``_VECTOR_MIN_CANDIDATES`` — there the scalar path takes distances
-        from the vector kernel, so those records must replay through it.
+        from the vector kernel, so those records must replay through it;
+        ``band`` counts the candidates the scalar kernel decided.
         """
         cfg = self._extractor.config
         stale = cfg.proximity_staleness_s
@@ -1083,25 +1082,24 @@ class MobilityPipeline:
             & (np.abs(latA[None, :] - lat2) * _METERS_PER_DEG_LAT_FLOOR <= radius)
         )
         if not cand.any():
-            return [0] * (n_active + 1), [], np.zeros(n_active, dtype=bool)
+            return ([0] * (n_active + 1), [], []), np.zeros(n_active, dtype=bool), 0
         # Transposed: candidates come out by record, then in scan order.
         recs, ents = np.nonzero(cand.T)
         ss = src[ents, recs]
-        d = haversine_m_arrays(
-            lonA[recs],
-            latA[recs],
-            np.where(ss >= 0, lonA[ss], f_lon[ents]),
-            lat2[ents, recs],
+        near, hit, band = within_radius(
+            radius, lonA[recs], latA[recs],
+            np.where(ss >= 0, lonA[ss], f_lon[ents]), lat2[ents, recs],
         )
-        near = d <= radius * (1.0 + 1e-9)
-        ss = ss[near]
+        ss = ss[hit]
         others = [
             ent_last[e] if q < 0 else reports[q]
-            for q, e in zip(np.where(ss >= 0, active[ss], -1).tolist(), ents[near].tolist())
+            for q, e in zip(np.where(ss >= 0, active[ss], -1).tolist(), ents[hit].tolist())
         ]
-        start = np.searchsorted(recs[near], np.arange(n_active + 1))
-        vector = (np.diff(start) > 0) & (cand.sum(axis=0) >= _VECTOR_MIN_CANDIDATES)
-        return start.tolist(), others, vector
+        subjects = list(map(reports.__getitem__, active[recs[hit]].tolist()))
+        start = np.searchsorted(recs[hit], np.arange(n_active + 1)).tolist()
+        n_near = np.bincount(recs[near], minlength=n_active)
+        vector = (n_near > 0) & (cand.sum(axis=0) >= _VECTOR_MIN_CANDIDATES)
+        return (start, subjects, others), vector, band
 
     def _collision_guard(
         self, rb: RecordBatch, active: np.ndarray, eye: np.ndarray, src2: np.ndarray
@@ -1218,12 +1216,12 @@ class MobilityPipeline:
     def _guarded_walk(
         self, rb: RecordBatch, active_l: list[int], ex_l: list[bool],
         coll_l: list[bool], loit_map: dict[int, ComplexEvent],
-        prox_start: list[int], prox_other: list[PositionReport],
+        prox: tuple[list[int], list, list],
     ) -> list[ComplexEvent]:
         """Fused simple-event + detector walk over the active records:
         guard-flagged ones call the scalar extractor / collision detector,
-        the rest emit their proximity events straight from the pair join's
-        candidates and advance per-entity latest state lazily."""
+        the proximity hits between them are logged unbuilt as one
+        :class:`ProximityRun`, and per-entity state advances lazily."""
         result = self._result
         obs = self._obs
         reports = rb.reports
@@ -1263,6 +1261,16 @@ class MobilityPipeline:
                 coll_latest[eid2] = r2
             pending.clear()
 
+        # Proximity hits read no extractor state and are no-ops for the
+        # rendezvous detector: a record not replayed just joins the run
+        # from `run_lo` (no flush, no `events`); a replayed one closes it.
+        prox_start, prox_subj, prox_other = prox
+        run_lo = 0
+
+        def _append_run(lo: int, hi: int) -> None:
+            result.simple_events.append_run(ProximityRun(prox_subj[lo:hi], prox_other[lo:hi]))
+            ex._events_counter.inc(hi - lo)
+
         loit_get = loit_map.get
         rdv_process = rdv.process
         rdv_tick = rdv.tick
@@ -1271,21 +1279,12 @@ class MobilityPipeline:
             if ex_l[p]:
                 if pending:
                     _flush_pending()
+                _append_run(run_lo, prox_start[i])
+                run_lo = prox_start[i + 1]
                 events = ex.process(r)
                 result.simple_events.extend(events)
             else:
-                # Proximity events read no extractor state (the join
-                # carries the as-of reports) and are no-ops for the
-                # rendezvous detector: no flush, and `events` stays empty
-                # so only the tick the scalar order implies runs below.
                 events = ()
-                lo, hi = prox_start[i], prox_start[i + 1]
-                if lo < hi:
-                    near = ex._scalar_proximity(r, prox_other[lo:hi])
-                    if near:
-                        result.simple_events.extend(near)
-                        if obs:
-                            ex._events_counter.inc(len(near))
             if coll_l[p]:
                 if pending:
                     _flush_pending()
@@ -1337,6 +1336,7 @@ class MobilityPipeline:
                         result.triples_stored += len(triples)
                 out.extend(new_complex)
 
+        _append_run(run_lo, prox_start[-1])
         if pending:
             _flush_pending()
         if event_docs:

@@ -10,8 +10,10 @@ RDF common representation and rendered by visual analytics.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping, overload
 
 
 class EventSeverity(enum.IntEnum):
@@ -50,6 +52,113 @@ class SimpleEvent:
             raise ValueError("event_type must be non-empty")
         if not self.entity_id:
             raise ValueError("entity_id must be non-empty")
+
+
+#: ``(event_type, entity_id, t)`` — what the deterministic payloads and
+#: the serving event log read of a simple event.
+EventKey = tuple[str, str, float]
+
+
+class SimpleEventLog(Sequence[SimpleEvent]):
+    """The append-only simple-event stream of a run, stored in chunks.
+
+    A chunk is either a plain list of events (:meth:`extend`) or a *run*
+    (:meth:`append_run`): a sequence that builds its rows only when they
+    are read and answers :meth:`keys` without building them (e.g.
+    :class:`repro.cep.simple.ProximityRun`). Reading rows — iteration,
+    ``log[i]``, ``log[a:b]`` (a list) — costs the rows read plus a bisect
+    over chunk starts, never a pass over the whole log. Equality is
+    element-wise against another log or a list.
+    """
+
+    __slots__ = ("_chunks", "_starts", "_len", "_tail")
+
+    def __init__(self) -> None:
+        self._chunks: list[Sequence[SimpleEvent]] = []
+        #: Index of each chunk's first event.
+        self._starts: list[int] = []
+        self._len = 0
+        #: The last chunk when it is a list (extended in place), else None.
+        self._tail: list[SimpleEvent] | None = None
+
+    def extend(self, events: Sequence[SimpleEvent]) -> None:
+        """Append materialised events (one call per record on the scalar path)."""
+        if events:
+            tail = self._tail
+            if tail is None:
+                tail = self._tail = []
+                self._starts.append(self._len)
+                self._chunks.append(tail)
+            tail.extend(events)
+            self._len += len(events)
+
+    def append_run(self, run: Sequence[SimpleEvent]) -> None:
+        """Append a lazily-built run of events as one chunk."""
+        n = len(run)
+        if n:
+            self._starts.append(self._len)
+            self._chunks.append(run)
+            self._len += n
+            self._tail = None
+
+    def keys(self, start: int = 0) -> Iterator[EventKey]:
+        """``(event_type, entity_id, t)`` of every event from ``start`` on,
+        without building a run's rows."""
+        start = max(start, 0)
+        if start >= self._len:
+            return
+        c = bisect_right(self._starts, start) - 1
+        offset = start - self._starts[c]
+        for chunk in self._chunks[c:]:
+            if isinstance(chunk, list):
+                for e in chunk[offset:]:
+                    yield (e.event_type, e.entity_id, e.t)
+            else:
+                yield from chunk.keys(offset)
+            offset = 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[SimpleEvent]:
+        for chunk in self._chunks:
+            yield from chunk
+
+    @overload
+    def __getitem__(self, index: int) -> SimpleEvent: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[SimpleEvent]: ...
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(self._len)
+            if step != 1:
+                return [self[i] for i in range(start, stop, step)]
+            out: list[SimpleEvent] = []
+            if start >= stop:
+                return out
+            starts = self._starts
+            c = bisect_right(starts, start) - 1
+            while c < len(starts) and starts[c] < stop:
+                out.extend(self._chunks[c][max(start - starts[c], 0) : stop - starts[c]])
+                c += 1
+            return out
+        i = index + self._len if index < 0 else index
+        if not 0 <= i < self._len:
+            raise IndexError("simple event index out of range")
+        c = bisect_right(self._starts, i) - 1
+        return self._chunks[c][i - self._starts[c]]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (SimpleEventLog, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"SimpleEventLog(<{self._len} events in {len(self._chunks)} chunks>)"
 
 
 @dataclass(frozen=True, slots=True)

@@ -117,8 +117,9 @@ class RuntimeResult:
             "reports_clean": float(self.reports_clean),
             "reports_kept": float(self.reports_kept),
             "triples_stored": float(self.triples_stored),
-            "simple_events": float(len(self.simple_events)),
-            "complex_events": float(len(self.complex_events)),
+            # Per-shard lengths: counting must not build every event.
+            "simple_events": float(sum(len(s.result.simple_events) for s in self.shards)),
+            "complex_events": float(sum(len(s.result.complex_events) for s in self.shards)),
             "dead_letters": float(self.dead_letter_count),
             "restarts": float(self.restarts_total),
             "shed": float(self.shed_total),

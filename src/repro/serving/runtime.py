@@ -266,13 +266,17 @@ class ServingRuntime:
                         self.config.history_len
                     )
                 track.append(report)
-            for event in pipeline.live_result.simple_events[simple_before:]:
+            # Keys of the batch's events only: no event is built and no
+            # older chunk of the log is walked.
+            for event_type, entity_id, t in pipeline.live_result.simple_events.keys(
+                simple_before
+            ):
                 new_events.append(
                     {
                         "kind": "simple",
-                        "event_type": event.event_type,
-                        "entity_ids": [event.entity_id],
-                        "t": event.t,
+                        "event_type": event_type,
+                        "entity_ids": [entity_id],
+                        "t": t,
                         "shard": shard_id,
                     }
                 )

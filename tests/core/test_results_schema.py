@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.cep.simple import ProximityRun, SimpleEventExtractor
 from repro.core.pipeline import MobilityPipeline, PipelineResult
 from repro.core.results import (
     RESULT_SCHEMA_VERSION,
@@ -18,6 +19,8 @@ from repro.core.results import (
     load_result_document,
     result_document,
 )
+from repro.model.events import SimpleEvent
+from repro.model.reports import PositionReport
 from repro.query.executor import ExecutionReport
 from repro.runtime.merge import ResultMerger, RuntimeResult, ShardOutcome
 from repro.sources.generators import MaritimeTrafficGenerator
@@ -96,6 +99,30 @@ class TestDeterministicDigest:
             ],
         )
         assert one.deterministic_digest() != two.deterministic_digest()
+
+
+class TestRuntimeSummary:
+    def test_simple_events_counted_without_building_them(self, monkeypatch):
+        calls = []
+        build = SimpleEventExtractor._proximity_event
+
+        def counting(report, other, distance):
+            calls.append(1)
+            return build(report, other, distance)
+
+        monkeypatch.setattr(SimpleEventExtractor, "_proximity_event", staticmethod(counting))
+        a, b = PositionReport("A", 0.0, 24.0, 37.0), PositionReport("B", 0.0, 24.01, 37.0)
+        shards = []
+        for shard_id, n_pairs in enumerate((3, 4)):
+            result = PipelineResult()
+            result.simple_events.append_run(ProximityRun([a] * n_pairs, [b] * n_pairs))
+            result.simple_events.extend([SimpleEvent("stop_begin", "A", 1.0, 24.0, 37.0)])
+            shards.append(ShardOutcome(shard_id=shard_id, result=result))
+        merged = RuntimeResult(n_workers=2, shards=shards)
+        assert merged.summary()["simple_events"] == 9.0
+        assert calls == []
+        # The merged list is still there for callers that want the events.
+        assert len(merged.simple_events) == 9 and len(calls) == 7
 
 
 class TestResultDocument:

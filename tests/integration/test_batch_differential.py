@@ -18,8 +18,8 @@ the equivalence contract from every angle the contract names:
   per-record run;
 - complete ``SimpleEvent`` equality (every field, in per-record order —
   ``deterministic_bytes`` keeps only type/entity/t) on a dense fleet,
-  where the columnar core emits proximity events from its pair join
-  instead of replaying the scalar extractor.
+  where the columnar core logs proximity hits from its pair join as
+  runs built only when read, instead of replaying the scalar extractor.
 
 The workload carries >= PREFILTER_MIN_ZONES zones so the grid-backed
 :class:`~repro.geo.zone_index.ZoneIndex` prefilter is exercised, not
@@ -27,16 +27,20 @@ bypassed.
 """
 
 import itertools
+import math
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cep.simple import SimpleEventConfig, SimpleEventExtractor
 from repro.core.pipeline import BatchOptions, CheckpointOptions, MobilityPipeline
 from repro.core.recordbatch import recordbatches
 from repro.geo.bbox import BBox
+from repro.geo.geodesy import haversine_m, haversine_m_arrays
 from repro.geo.polygon import Polygon
 from repro.geo.zone_index import PREFILTER_MIN_ZONES
 from repro.model.reports import PositionReport
@@ -372,13 +376,28 @@ _CLUSTER_WORLD = SimpleNamespace(
 )
 
 
-class TestDenseProximityEmission:
-    """The columnar core emits proximity events from its as-of pair join.
+def _radius_edge(lon, lat, radius):
+    """Adjacent latitudes north of ``(lon, lat)`` at which the scalar
+    distance crosses ``radius``: ``(last hit, first miss)``."""
+    lo, hi = lat, lat + 0.1
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2.0
+        if haversine_m(lon, lat, lon, mid) <= radius:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
-    Everything a ``SimpleEvent`` carries — ``other``, ``distance_m``,
-    position, severity — and the order of one record's events must equal
-    what ``process_report`` produces, while almost no record replays the
-    scalar extractor.
+
+class TestDenseProximityEmission:
+    """The columnar core decides proximity hits in its as-of pair join and
+    logs them as :class:`~repro.cep.simple.ProximityRun`\\ s, built only
+    when read.
+
+    Everything a ``SimpleEvent`` read from the log carries — ``other``,
+    ``distance_m``, position, severity — and the order of one record's
+    events must equal what ``process_report`` produces, while almost no
+    record replays the scalar extractor.
     """
 
     @pytest.fixture(scope="class")
@@ -481,6 +500,60 @@ class TestDenseProximityEmission:
             for e in actual.simple_events
             if (e.entity_id, e.t) == ("Z1", probe.t)
         ] == ["Y2", "X3", "B5", "A4"]
+
+    def test_band_pairs_are_decided_by_the_scalar_kernel(self):
+        """Two stationary pairs sit at adjacent latitudes around the radius:
+        the scalar kernel says hit for one and miss for the other, and
+        both vector distances lie inside the ±1e-9 band the join hands to
+        the scalar kernel."""
+        radius = SimpleEventConfig().proximity_radius_m
+        hit_lat = _radius_edge(24.0, 36.5, radius)[0]
+        miss_lat = _radius_edge(24.0, 37.5, radius)[1]
+        for lat, edge in ((36.5, hit_lat), (37.5, miss_lat)):
+            d = haversine_m_arrays(np.array([24.0]), np.array([lat]), 24.0, np.array([edge]))
+            assert abs(d[0] - radius) <= radius * 1e-9
+        assert haversine_m(24.0, 36.5, 24.0, hit_lat) <= radius
+        assert haversine_m(24.0, 37.5, 24.0, miss_lat) > radius
+        places = {"H1": 36.5, "H2": hit_lat, "M1": 37.5, "M2": miss_lat}
+        reports = [
+            PositionReport(
+                entity_id=eid, t=10.0 * r + 0.01 * k, lon=24.0, lat=lat, speed=5.0, heading=0.0
+            )
+            for r in range(8)
+            for k, (eid, lat) in enumerate(places.items())
+        ]
+        expected = _pipeline(_CLUSTER_WORLD, ()).run(reports)
+        pipeline = _pipeline(_CLUSTER_WORLD, ())
+        actual = pipeline.run(reports, batch=BatchOptions(size=32))
+        assert actual.simple_events == expected.simple_events
+        assert actual.deterministic_bytes() == expected.deterministic_bytes()
+        raised = {e.entity_id for e in expected.simple_events if e.event_type == "proximity"}
+        assert raised == {"H1", "H2"}
+        counters = _replay_counters(pipeline)
+        assert counters["replay.extractor"] == 0
+        # Per pair: the second entity's first report, then both every round.
+        assert counters["replay.proximity_band"] == 2 * (1 + 2 * 7)
+
+    def test_columnar_run_builds_no_event_until_read(self, monkeypatch):
+        reports = _cluster([f"C{k}" for k in range(6)], lambda k: range(10))
+        expected = _pipeline(_CLUSTER_WORLD, ()).run(reports)
+        calls = []
+        build = SimpleEventExtractor._proximity_event
+
+        def counting(report, other, distance):
+            calls.append(1)
+            return build(report, other, distance)
+
+        monkeypatch.setattr(SimpleEventExtractor, "_proximity_event", staticmethod(counting))
+        pipeline = _pipeline(_CLUSTER_WORLD, ())
+        actual = pipeline.run(reports, batch=BatchOptions(size=64))
+        assert _replay_counters(pipeline)["replay.extractor"] == 0
+        assert actual.deterministic_bytes() == expected.deterministic_bytes()
+        assert calls == []
+        n = sum(1 for e in expected.simple_events if e.event_type == "proximity")
+        assert n > 0
+        assert actual.simple_events == expected.simple_events
+        assert len(calls) == n
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -336,7 +336,33 @@ class TestFormatVersion:
     def test_payload_leads_with_the_version(self, sample):
         payload = _pipeline(sample).snapshot()
         assert payload.startswith(_SNAPSHOT_HEADER)
-        assert SNAPSHOT_FORMAT == 2
+        assert SNAPSHOT_FORMAT == 3
+
+    def test_list_event_format_is_refused_before_any_component_is_touched(
+        self, sample, reports
+    ):
+        """Version 2 pickled ``simple_events`` as a plain list: restoring it
+        would only fail at the first columnar batch, so it is refused."""
+        source = _pipeline(sample)
+        source.run(reports[:200], batch=BatchOptions(size=64))
+        payload = source.snapshot()
+        v2 = _SNAPSHOT_MAGIC + (2).to_bytes(2, "big") + payload[len(_SNAPSHOT_HEADER) :]
+        target = _pipeline(sample)
+        store_before, result_before = target.store, target.result
+        with pytest.raises(CheckpointVersionError) as raised:
+            target.restore(v2)
+        assert (raised.value.found, raised.value.expected) == (2, 3)
+        assert target.store is store_before and target.result is result_before
+
+    def test_event_log_survives_restore_and_keeps_growing(self, sample, reports, uninterrupted):
+        source = _pipeline(sample)
+        source.run(reports[:256], batch=BatchOptions(size=64))
+        target = _pipeline(sample)
+        target.restore(source.snapshot())
+        assert target.result.simple_events == source.result.simple_events
+        for start in range(256, len(reports), 64):
+            target.process_batch(reports[start : start + 64])
+        assert target.result.simple_events == uninterrupted.simple_events
 
     def test_parent_format_is_refused_before_any_component_is_touched(
         self, sample, reports

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cep.simple import SimpleEventExtractor
+from repro.core.config import PipelineConfig
+from repro.core.pipeline import PipelineSpec
 from repro.core.results import digest_of
 from repro.serving import ENDPOINTS, ServingConfig, ServingRuntime
 
@@ -37,6 +40,49 @@ def test_ingest_summary_and_event_log(serving_spec, serving_reports):
     events = log.payload["events"]
     assert [e["seq"] for e in events] == list(range(len(events)))
     assert all(e["kind"] in ("simple", "complex") for e in events)
+
+
+def test_ingest_logs_simple_events_without_building_them(
+    dense_maritime_sample, monkeypatch
+):
+    """Serving reads only the keys of a batch's new simple events: a dense
+    columnar ingest builds no proximity event beyond those the pipeline
+    builds itself (replayed records), and the event log still equals the
+    per-record pipeline's simple-event stream."""
+    sample = dense_maritime_sample
+    reports = sorted(sample.reports, key=lambda r: r.t)[:640]
+    batches = [reports[start : start + 64] for start in range(0, len(reports), 64)]
+    spec = PipelineSpec(
+        bbox=sample.world.bbox,
+        config=PipelineConfig(),
+        registry=sample.registry,
+        zones=tuple(sample.world.zones),
+    )
+    expected = spec.build().run(reports)
+    calls = []
+    build = SimpleEventExtractor._proximity_event
+
+    def counting(report, other, distance):
+        calls.append(1)
+        return build(report, other, distance)
+
+    monkeypatch.setattr(SimpleEventExtractor, "_proximity_event", staticmethod(counting))
+    bare = spec.build()
+    for batch in batches:
+        bare.process_batch(batch)
+    built_by_pipeline = len(calls)
+    calls.clear()
+    runtime = build_runtime(spec, n_shards=1)
+    for batch in batches:
+        runtime.ingest(batch)
+    assert len(calls) == built_by_pipeline < len(bare.result.simple_events) // 10
+    simple = [
+        (e["event_type"], e["entity_ids"][0], e["t"])
+        for e in runtime._events
+        if e["kind"] == "simple"
+    ]
+    assert simple == list(expected.simple_events.keys())
+    assert sum(1 for e in simple if e[0] == "proximity") > 1000
 
 
 def test_events_cursor_pagination(warm_runtime):
