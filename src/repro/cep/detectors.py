@@ -10,7 +10,9 @@ per episode, not one per report.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,6 +21,9 @@ from repro.geo.geodesy import haversine_m, haversine_m_arrays
 from repro.geo.polygon import Polygon
 from repro.model.events import ComplexEvent, EventSeverity, SimpleEvent
 from repro.model.reports import PositionReport
+
+if TYPE_CHECKING:
+    from repro.core.recordbatch import RecordBatch
 
 #: Below this many live candidates the scalar distance loop beats the
 #: numpy round-trip; at or above it, distances are computed in one
@@ -464,6 +469,10 @@ class CapacityDemandDetector:
     when a window's count exceeds the sector's capacity, a
     ``capacity_overload`` event fires at window close. This is the
     aviation "hotspot / capacity demand" phenomenon from the paper.
+
+    :meth:`process` takes one report; :meth:`process_recordbatch` is its
+    exact columnar equivalent over a batch whose sector containment is
+    already computed. Both share :meth:`flush` and the window state.
     """
 
     def __init__(
@@ -472,8 +481,8 @@ class CapacityDemandDetector:
         capacity: int = 10,
         window_s: float = 600.0,
     ) -> None:
-        if capacity <= 0 or window_s <= 0:
-            raise ValueError("capacity and window must be positive")
+        if capacity <= 0 or not 0 < window_s < math.inf:
+            raise ValueError("capacity must be positive and window finite and positive")
         self.sectors = sectors
         self.capacity = capacity
         self.window_s = window_s
@@ -490,6 +499,52 @@ class CapacityDemandDetector:
         for sector in self.sectors:
             if sector.contains(report.lon, report.lat):
                 self._present[sector.name].add(report.entity_id)
+        return out
+
+    def process_recordbatch(
+        self, rb: "RecordBatch", positions: np.ndarray, inside_cols: list[np.ndarray]
+    ) -> dict[int, list[ComplexEvent]]:
+        """Feed ``rb``'s records at ``positions`` (ascending); window-close
+        events keyed by the position whose :meth:`process` call raises them.
+
+        Exact bulk equivalent of one :meth:`process` call per position.
+        ``inside_cols[i]`` is ``sectors[i].contains_batch`` over the whole
+        batch, decision-identical to ``sectors[i].contains``. The positions
+        split into runs of equal window index; each run closes the current
+        window at its first position if the index changed, then adds its
+        in-sector entities with one pass per sector. Sector names new to
+        ``_present`` enter in order of their first hit, ties by sector
+        index, so :meth:`_close_window` sees the scalar insertion order.
+        """
+        out: dict[int, list[ComplexEvent]] = {}
+        if not positions.size:
+            return out
+        # Float floor division, exactly the scalar ``report.t // window_s``;
+        # equal floats are equal window indices, and ``int`` is taken only
+        # at run starts.
+        windows = rb.t[positions] // self.window_s
+        bounds = [0, *(np.flatnonzero(windows[1:] != windows[:-1]) + 1).tolist(), windows.size]
+        codes = rb.entity_codes[positions]
+        hit_cols = [col[positions] for col in inside_cols]
+        vocab = rb.vocabulary
+        present = self._present
+        for lo, hi in zip(bounds, bounds[1:]):
+            window_idx = int(windows[lo])
+            if self._current_window is not None and window_idx != self._current_window:
+                closed = self._close_window(self._current_window)
+                if closed:
+                    out[int(positions[lo])] = closed
+            self._current_window = window_idx
+            hits = []
+            for sector, col in zip(self.sectors, hit_cols):
+                idx = np.flatnonzero(col[lo:hi])
+                if idx.size:
+                    hits.append((int(idx[0]), sector.name, idx))
+            # Stable: sectors first hit by the same record keep index order.
+            hits.sort(key=lambda hit: hit[0])
+            run_codes = codes[lo:hi]
+            for __, name, idx in hits:
+                present[name].update([vocab[c] for c in run_codes[idx].tolist()])
         return out
 
     def flush(self) -> list[ComplexEvent]:

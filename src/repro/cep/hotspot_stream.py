@@ -11,6 +11,7 @@ window's density surface, same statistic as the batch path).
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from typing import Iterable
 
@@ -41,8 +42,8 @@ class StreamingHotspotDetector:
         z_threshold: float = 2.5,
         min_entities: int = 3,
     ) -> None:
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
+        if not 0 < window_s < math.inf:
+            raise ValueError("window_s must be finite and positive")
         if min_entities < 1:
             raise ValueError("min_entities must be >= 1")
         self.grid = grid

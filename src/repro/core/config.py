@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.cep.simple import SimpleEventConfig
@@ -78,3 +79,8 @@ class PipelineConfig:
             raise ValueError("n_partitions must be positive")
         if self.partitioner not in ("hash", "grid", "hilbert"):
             raise ValueError(f"unknown partitioner {self.partitioner!r}")
+        if self.capacity_limit < 1:
+            raise ValueError("capacity_limit must be >= 1")
+        for name in ("capacity_window_s", "hotspot_window_s"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")

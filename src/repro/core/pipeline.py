@@ -703,7 +703,9 @@ class MobilityPipeline:
         prove most records can take no branch that emits an event or
         mutates non-trivial state; only the flagged remainder replays
         through the unchanged scalar components, after lazily syncing
-        the per-entity state those components read.
+        the per-entity state those components read. Loitering and
+        capacity demand run columnar outright, their events keyed by
+        the position raising them.
 
         Observability: stage samples land on the same histograms, except
         that simple-event extraction and detection run as one fused walk
@@ -747,7 +749,7 @@ class MobilityPipeline:
 
             # Zone containment, one vectorized ray-cast per zone over the
             # whole batch — shared by interlinking (exact containment per
-            # kept record) and the zone entry/exit guard below.
+            # kept record), the zone entry/exit guard and capacity demand.
             inside_cols = [z.contains_batch(rb.lon, rb.lat) for z in self.zones]
 
             # -- rdf: transform + bulk store ---------------------------------
@@ -762,9 +764,10 @@ class MobilityPipeline:
             # guards: `ex_int` (simple-event extraction) and `coll_int`
             # (collision pair checks). Proximity is the exception: the
             # pair join decides the hits itself, and the walk logs those
-            # of records raising nothing else as runs, unbuilt.
-            # Everything else provably emits nothing and only advances
-            # per-entity latest state, applied lazily by the walk.
+            # of records raising nothing else as runs, unbuilt. Loitering
+            # and capacity events arrive keyed by position. Everything
+            # else provably emits nothing and only advances per-entity
+            # latest state, applied lazily by the walk.
             ex_int, loit_map = self._segment_guards(rb, mask, inside_cols)
             prox, prox_vec, prox_band, coll_may = self._pair_guards(rb, active)
             ex_int[active] |= prox_vec
@@ -777,8 +780,10 @@ class MobilityPipeline:
                 counter("pipeline.replay.collision").inc(int(coll_may.sum()))
                 counter("pipeline.replay.proximity_vector_kernel").inc(int(prox_vec.sum()))
                 counter("pipeline.replay.proximity_band").inc(prox_band)
+            cap = self._capacity
+            cap_map = None if cap is None else cap.process_recordbatch(rb, active, inside_cols)
             out = self._guarded_walk(
-                rb, active_l, ex_int.tolist(), coll_int.tolist(), loit_map, prox
+                rb, active_l, ex_int.tolist(), coll_int.tolist(), loit_map, cap_map, prox
             )
 
         if obs:
@@ -1216,12 +1221,13 @@ class MobilityPipeline:
     def _guarded_walk(
         self, rb: RecordBatch, active_l: list[int], ex_l: list[bool],
         coll_l: list[bool], loit_map: dict[int, ComplexEvent],
-        prox: tuple[list[int], list, list],
+        cap_map: dict[int, list[ComplexEvent]] | None, prox: tuple[list[int], list, list],
     ) -> list[ComplexEvent]:
         """Fused simple-event + detector walk over the active records:
         guard-flagged ones call the scalar extractor / collision detector,
         the proximity hits between them are logged unbuilt as one
-        :class:`ProximityRun`, and per-entity state advances lazily."""
+        :class:`ProximityRun`, per-entity state advances lazily, and the
+        columnar loitering / capacity events are interleaved by position."""
         result = self._result
         obs = self._obs
         reports = rb.reports
@@ -1232,7 +1238,6 @@ class MobilityPipeline:
         coll_latest = coll._latest
         rdv = self._rendezvous
         rdv_pairs = rdv._pair_since
-        cap = self._capacity
         hot = self._hotspots
         persist = self.config.persist_rdf
         codes_l = rb.entity_codes.tolist()
@@ -1297,10 +1302,7 @@ class MobilityPipeline:
             new_complex = list(cev) if cev else None
             lev = loit_get(p)
             if lev is not None:
-                if new_complex is None:
-                    new_complex = [lev]
-                else:
-                    new_complex.append(lev)
+                new_complex = (new_complex or []) + [lev]
             if events:
                 if new_complex is None:
                     new_complex = []
@@ -1311,18 +1313,11 @@ class MobilityPipeline:
                 # tick() with no co-stopped pairs is a pure no-op.
                 ticked = rdv_tick(t_l[p])
                 if ticked:
-                    if new_complex is None:
-                        new_complex = ticked
-                    else:
-                        new_complex.extend(ticked)
-            if cap is not None:
-                if new_complex is None:
-                    new_complex = []
-                new_complex.extend(cap.process(r))
+                    new_complex = (new_complex or []) + ticked
+            if cap_map and p in cap_map:
+                new_complex = (new_complex or []) + cap_map[p]
             if hot is not None:
-                if new_complex is None:
-                    new_complex = []
-                new_complex.extend(hot.process(r))
+                new_complex = (new_complex or []) + hot.process(r)
             if new_complex:
                 if obs:
                     # Created lazily, exactly like _run_detectors: a

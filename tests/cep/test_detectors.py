@@ -222,3 +222,8 @@ class TestCapacityDemand:
     def test_validation(self):
         with pytest.raises(ValueError):
             CapacityDemandDetector([self.SECTOR], capacity=0)
+
+    @pytest.mark.parametrize("window_s", [0.0, -600.0, float("nan"), float("inf")])
+    def test_non_finite_or_non_positive_window_rejected(self, window_s):
+        with pytest.raises(ValueError):
+            CapacityDemandDetector([self.SECTOR], window_s=window_s)

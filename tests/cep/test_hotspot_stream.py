@@ -87,7 +87,8 @@ class TestStreamingHotspots:
         assert first or first == []  # flush returns, second is empty
 
     def test_validation(self, grid):
-        with pytest.raises(ValueError):
-            StreamingHotspotDetector(grid, window_s=0.0)
+        for window_s in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                StreamingHotspotDetector(grid, window_s=window_s)
         with pytest.raises(ValueError):
             StreamingHotspotDetector(grid, min_entities=0)

@@ -119,6 +119,19 @@ class TestConfigVariants:
         with pytest.raises(ValueError):
             PipelineConfig(partitioner="mystery")
 
+    @pytest.mark.parametrize("field", ["capacity_window_s", "hotspot_window_s"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_detector_window_must_be_finite_and_positive(self, field, value):
+        # Accepted, a NaN window would crash the first aviation record on
+        # int(NaN) and an inf one would stamp window starts with NaN.
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig(**{field: value})
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_capacity_limit_must_be_at_least_one(self, limit):
+        with pytest.raises(ValueError, match="capacity_limit"):
+            PipelineConfig(capacity_limit=limit)
+
     def test_synopses_threshold_controls_storage(self, maritime_sample_module):
         sample = maritime_sample_module
 

@@ -19,7 +19,10 @@ the equivalence contract from every angle the contract names:
 - complete ``SimpleEvent`` equality (every field, in per-record order —
   ``deterministic_bytes`` keeps only type/entity/t) on a dense fleet,
   where the columnar core logs proximity hits from its pair join as
-  runs built only when read, instead of replaying the scalar extractor.
+  runs built only when read, instead of replaying the scalar extractor;
+- complete ``ComplexEvent`` equality on an aviation stream, where the
+  columnar core feeds the sector capacity detector from the batch's
+  zone containment columns instead of one scalar call per record.
 
 The workload carries >= PREFILTER_MIN_ZONES zones so the grid-backed
 :class:`~repro.geo.zone_index.ZoneIndex` prefilter is exercised, not
@@ -36,6 +39,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.sanitizer import determinism_sanitizer
 from repro.cep.simple import SimpleEventConfig, SimpleEventExtractor
 from repro.core.pipeline import BatchOptions, CheckpointOptions, MobilityPipeline
 from repro.core.recordbatch import recordbatches
@@ -43,6 +47,7 @@ from repro.geo.bbox import BBox
 from repro.geo.geodesy import haversine_m, haversine_m_arrays
 from repro.geo.polygon import Polygon
 from repro.geo.zone_index import PREFILTER_MIN_ZONES
+from repro.model.points import Domain
 from repro.model.reports import PositionReport
 from repro.runtime.worker import _BatchCrashInjector
 from repro.sources.generators import MaritimeTrafficGenerator
@@ -281,10 +286,7 @@ class TestPathSelection:
 
 
 class TestBatchCrashRestartDifferential:
-    def _crash_and_resume(
-        self, sample, reports, zones, batch_size, chaos=None, crash_after=None
-    ):
-        kwargs = {"chaos": chaos} if chaos else {}
+    def _crash_and_resume(self, sample, reports, zones, batch_size, crash_after=None, **kwargs):
         store = InMemoryCheckpointStore()
         crashed = _pipeline(sample, zones, **kwargs)
         if crash_after is None:
@@ -578,6 +580,111 @@ class TestDenseProximityEmission:
         actual = _pipeline(sample, zones).run(window, batch=BatchOptions(size=batch_size))
         assert actual.simple_events == expected.simple_events
         assert actual.deterministic_bytes() == expected.deterministic_bytes()
+
+
+#: Capacity windows short and the limit low enough that the aviation
+#: fixture overloads a sector in most windows, two sectors in one.
+_CAPACITY_CONFIG = dict(capacity_limit=1, capacity_window_s=300.0)
+
+
+class TestCapacityDemandColumnar:
+    """The columnar core feeds :class:`CapacityDemandDetector` from the
+    batch's zone containment columns, one pass per (window run, sector).
+
+    Window closes must land at the record whose scalar ``process`` call
+    raises them, and sectors must enter the window's presence map in
+    scalar order: both are visible in the complete ``ComplexEvent`` list.
+    Every run is under ``determinism_sanitizer()`` (CI's "Sanitizer
+    differential arm").
+    """
+
+    @pytest.fixture(scope="class")
+    def aviation(self):
+        from repro.core.config import PipelineConfig
+        from repro.sources.generators import AviationTrafficGenerator
+
+        sample = AviationTrafficGenerator(seed=3).generate(n_flights=6)
+        reports = sorted(sample.reports, key=lambda r: r.t)[:3000]
+        zones = list(sample.world.sectors)
+        kwargs = dict(config=PipelineConfig(**_CAPACITY_CONFIG), domain=Domain.AVIATION)
+        pipeline = _pipeline(sample, zones, **kwargs)
+        with determinism_sanitizer():
+            expected = pipeline.run(reports)
+        return sample, reports, zones, kwargs, pipeline, expected
+
+    @staticmethod
+    def _assert_identical(actual, expected):
+        assert actual.complex_events == expected.complex_events
+        assert actual.deterministic_bytes() == expected.deterministic_bytes()
+
+    def test_fixture_builds_and_fires_the_detector(self, aviation):
+        __, __, __, __, pipeline, expected = aviation
+        assert pipeline._capacity is not None
+        overloads = [
+            e for e in expected.complex_events if e.event_type == "capacity_overload"
+        ]
+        assert len(overloads) >= 5
+        # One window closes with two overloaded sectors: their order is
+        # the order the sectors entered the window's presence map.
+        assert max(Counter(e.t_start for e in overloads).values()) >= 2
+
+    @pytest.mark.parametrize("batch_size", (16, 17, 256, "mixed"))
+    def test_complete_complex_events_identical(self, aviation, batch_size):
+        sample, reports, zones, kwargs, __, expected = aviation
+        with determinism_sanitizer():
+            actual = _run_in_batches(_pipeline(sample, zones, **kwargs), reports, batch_size)
+        self._assert_identical(actual, expected)
+
+    def test_columnar_run_calls_no_scalar_process(self, aviation, monkeypatch):
+        from repro.cep.detectors import CapacityDemandDetector
+
+        sample, reports, zones, kwargs, __, expected = aviation
+
+        def scalar_process(self, report):
+            raise AssertionError("columnar batch took the scalar capacity path")
+
+        monkeypatch.setattr(CapacityDemandDetector, "process", scalar_process)
+        # 3000 = 12 * 250: every batch is columnar.
+        with determinism_sanitizer():
+            actual = _pipeline(sample, zones, **kwargs).run(
+                reports, batch=BatchOptions(size=250)
+            )
+        self._assert_identical(actual, expected)
+
+    def test_batch_straddling_a_window_boundary(self, aviation):
+        sample, reports, zones, kwargs, __, expected = aviation
+        window_s = _CAPACITY_CONFIG["capacity_window_s"]
+        windows = [int(r.t // window_s) for r in reports]
+        edge = next(i for i in range(100, len(reports)) if windows[i] != windows[i - 1])
+        lo, hi = edge - 40, edge + 40
+        assert windows[lo] != windows[hi - 1]
+        with determinism_sanitizer():
+            actual = _pipeline(sample, zones, **kwargs).run(
+                recordbatches([reports[:lo], reports[lo:hi], reports[hi:]])
+            )
+        self._assert_identical(actual, expected)
+
+    @pytest.mark.parametrize("batch_size", (64, "mixed"))
+    def test_resume_from_checkpoint_inside_a_capacity_window(
+        self, aviation, batch_size, monkeypatch
+    ):
+        sample, reports, zones, kwargs, __, expected = aviation
+        present_at_restore = []
+        restore = MobilityPipeline.restore
+
+        def recording_restore(self, payload):
+            restore(self, payload)
+            present_at_restore.append(dict(self._capacity._present))
+
+        monkeypatch.setattr(MobilityPipeline, "restore", recording_restore)
+        with determinism_sanitizer():
+            __, actual = TestBatchCrashRestartDifferential()._crash_and_resume(
+                sample, reports, zones, batch_size, crash_after=1390, **kwargs
+            )
+        # The resumed state is mid-window: the detector's presence sets
+        # came through the checkpoint, not from a fresh window.
+        assert len(present_at_restore) == 1 and present_at_restore[0]
+        self._assert_identical(actual, expected)
 
 
 class TestCompiledEmitterDifferential:
