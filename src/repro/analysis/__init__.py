@@ -4,8 +4,8 @@ The reproduction's headline guarantees — byte-identical crash-resume
 (PR 1/3/4), hash-seed independence (PR 3) and millisecond latency
 accounting (PR 2) — rest on code-level invariants that no test can see
 locally: a single unseeded ``random.random()`` call, a builtin
-``hash()`` in a routing path, or one field missing from an operator's
-``snapshot()`` dict silently breaks a contract that only manifests as a
+``hash()`` in a routing path, or one field missing from what the
+pipeline's ``snapshot()`` pickles silently breaks a contract that only manifests as a
 flaky differential test three layers away. This package checks those
 invariants mechanically, the way production stream stacks (Flink /
 Spark lineage) enforce their serialization and determinism contracts.
@@ -28,9 +28,10 @@ Rules (see ``docs/static-analysis.md`` for rationale and examples):
 - **D5** — *whole-program*: no unordered ``set``/``dict`` iteration may
   flow into persisted or emitted output (``snapshot()`` payloads,
   canonical digests, RDF emission) — wrap in ``sorted(...)``.
-- **C1** — snapshot coverage: every class with a ``snapshot``/
-  ``restore`` pair must reference each mutable field in both; stateful
-  operators must define (or correctly inherit) the pair.
+- **C1** — checkpoint coverage: every field ``MobilityPipeline``
+  sets is either in ``_STATEFUL_COMPONENTS`` (pickled by ``snapshot()``)
+  or, with a reason, in ``_NOT_CHECKPOINTED``; every hand-written
+  ``__getstate__``/``__setstate__`` pair covers each mutable field.
 - **P1** — pickle safety: no lambdas / nested functions flowing into
   ``PipelineSpec`` / ``WorkerSpec`` construction (workers are spawned).
 - **P2** — *whole-program*: no module-level mutable global may be

@@ -2,11 +2,11 @@
 
 The engine splits rules into two tiers:
 
-- **local** rules (D1–D3, P1, O1) read one file at a time, so their
-  raw findings are a pure function of that file's bytes and the policy.
-  They are cached **per file**, keyed on the content's sha256.
-- **cross-module** rules (C1 via the class index; D4/D5/P2 via the
-  program model) can change when *any* file changes, so their findings
+- **local** rules (D1–D3, C1, P1, O1) read one file at a time, so
+  their raw findings are a pure function of that file's bytes and the
+  policy. They are cached **per file**, keyed on the content's sha256.
+- **cross-module** rules (D4/D5/P2 via the program model) can change
+  when *any* file changes, so their findings
   are cached under one **project hash** — the digest of every file's
   digest.
 

@@ -1,16 +1,15 @@
-"""Project-wide class index for cross-module inheritance checks.
+"""Project-wide class index shared by the analysis rules.
 
-Rule C1 needs to know whether ``SynopsesOperator`` ultimately derives
-from ``repro.streams.operators.Operator`` and which ancestor supplies
-its ``snapshot``/``restore`` pair — information no single module's AST
-contains. The engine therefore parses every file first, builds this
-index, and hands it to the rules.
+The engine parses every file first, builds this index, and hands it to
+the rules. Rule C1 reads each class's own fields, methods and checkpoint
+literals from it; the call graph resolves inherited methods through
+:meth:`ClassIndex.ancestors`, information no single module's AST
+contains.
 
 Resolution is by simple class name (the identifier a base is written
 as), which is exact for this codebase and the right trade-off for a
-stdlib-only linter: a wrong-module name collision would merely make C1
-conservative, and any resulting false positive is suppressed inline
-with a reason.
+stdlib-only linter: a wrong-module name collision merely leaves a call
+unresolved.
 """
 
 from __future__ import annotations
@@ -42,9 +41,11 @@ MUTATOR_METHODS = frozenset(
 )
 
 #: Methods excluded when deciding whether a field is mutable state:
-#: ``__init__`` establishes the field; the checkpoint pair rightfully
-#: touches everything.
-_NON_MUTATING_CONTEXTS = frozenset({"__init__", "snapshot", "restore"})
+#: ``__init__`` establishes the field; the checkpoint methods rightfully
+#: touch everything (``TermDictionary.__getstate__`` seals its chunks).
+_NON_MUTATING_CONTEXTS = frozenset(
+    {"__init__", "snapshot", "restore", "__getstate__", "__setstate__"}
+)
 
 
 def _self_attr_root(node: ast.expr) -> str | None:
@@ -105,6 +106,14 @@ def _mutation_targets(stmt: ast.AST) -> set[str]:
     return out
 
 
+def mutated_self_attrs(func: ast.FunctionDef) -> set[str]:
+    """Every ``self.<attr>`` a method body mutates."""
+    out: set[str] = set()
+    for stmt in ast.walk(func):
+        out |= _mutation_targets(stmt)
+    return out
+
+
 @dataclass
 class ClassInfo:
     """Everything C1 needs to know about one class definition."""
@@ -116,13 +125,12 @@ class ClassInfo:
     methods: dict = field(default_factory=dict)  # name -> ast.FunctionDef
     init_fields: dict = field(default_factory=dict)  # field -> lineno
     mutated_fields: set = field(default_factory=set)
-    #: Entries of a literal ``_STATE_FIELDS`` / ``_STATEFUL_COMPONENTS``
-    #: class attribute, if any (both drive dict-shaped checkpoint loops).
-    state_fields_literal: tuple = ()
-
-    @property
-    def has_snapshot_pair(self) -> bool:
-        return "snapshot" in self.methods and "restore" in self.methods
+    #: Entries of a literal ``_STATEFUL_COMPONENTS`` tuple (the fields a
+    #: pickled ``snapshot()`` carries) and the assignment holding it.
+    components: tuple = ()
+    components_node: "ast.stmt | None" = None
+    #: A literal ``_NOT_CHECKPOINTED`` dict: field -> why it is left out.
+    not_checkpointed: dict = field(default_factory=dict)
 
     @property
     def stateful_fields(self) -> set:
@@ -146,19 +154,24 @@ def _extract_class(node: ast.ClassDef, module_path: str) -> ClassInfo:
             info.methods[stmt.name] = stmt
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
             value = stmt.value
-            for target in targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id in ("_STATE_FIELDS", "_STATEFUL_COMPONENTS")
-                    and isinstance(value, (ast.Tuple, ast.List))
-                ):
-                    info.state_fields_literal = tuple(
-                        element.value
-                        for element in value.elts
-                        if isinstance(element, ast.Constant)
-                        and isinstance(element.value, str)
-                    )
+            if "_STATEFUL_COMPONENTS" in names and isinstance(value, (ast.Tuple, ast.List)):
+                info.components = tuple(
+                    element.value
+                    for element in value.elts
+                    if isinstance(element, ast.Constant) and isinstance(element.value, str)
+                )
+                info.components_node = stmt
+            elif "_NOT_CHECKPOINTED" in names and isinstance(value, ast.Dict):
+                info.not_checkpointed = {
+                    key.value: reason.value
+                    for key, reason in zip(value.keys, value.values)
+                    if isinstance(key, ast.Constant)
+                    and isinstance(reason, ast.Constant)
+                    and isinstance(reason.value, str)
+                    and reason.value.strip()
+                }
     init = info.methods.get("__init__")
     if isinstance(init, ast.FunctionDef):
         for stmt in ast.walk(init):
@@ -176,8 +189,7 @@ def _extract_class(node: ast.ClassDef, module_path: str) -> ClassInfo:
     for name, method in info.methods.items():
         if name in _NON_MUTATING_CONTEXTS or not isinstance(method, ast.FunctionDef):
             continue
-        for stmt in ast.walk(method):
-            info.mutated_fields |= _mutation_targets(stmt)
+        info.mutated_fields |= mutated_self_attrs(method)
     return info
 
 
@@ -219,8 +231,3 @@ class ClassIndex:
             out.append(base)
             frontier.extend(base.base_names)
         return out
-
-    def derives_from(self, info: ClassInfo, root_name: str) -> bool:
-        if root_name in info.base_names:
-            return True
-        return any(anc.name == root_name for anc in self.ancestors(info))

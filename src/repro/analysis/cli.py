@@ -21,7 +21,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "AST contract linter: determinism (D1-D3), snapshot coverage "
+            "AST contract linter: determinism (D1-D3), checkpoint coverage "
             "(C1), pickle safety (P1), metric naming (O1). "
             "See docs/static-analysis.md."
         ),

@@ -14,8 +14,8 @@ violation cannot leave its suppression behind.
 
 Rules come in two tiers. Per-file rules see one module at a time;
 **cross-module** rules (``cross_module``/``whole_program``) additionally
-read the class index or the :class:`~repro.analysis.dataflow.ProgramModel`
-the engine builds once per run. The split also drives the incremental
+read the :class:`~repro.analysis.dataflow.ProgramModel` the engine
+builds once per run. The split also drives the incremental
 cache (:mod:`repro.analysis.cache`): per-file findings are reusable when
 that file's bytes are unchanged, cross-module findings only when *no*
 file changed.

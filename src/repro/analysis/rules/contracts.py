@@ -1,30 +1,41 @@
-"""C1: snapshot/restore coverage for checkpointable state.
+"""C1: checkpoint coverage for the state the pipeline pickles.
 
-The PR 1 recovery contract — crash-resume byte-identical to an
-uninterrupted run — holds only if every operator's ``snapshot()``
-captures *all* of its mutable state and ``restore()`` reinstates all of
-it. A field added to an operator but forgotten in either method is
-invisible to every unit test that doesn't crash at exactly the right
-record; this rule makes the omission a lint error instead.
+The recovery contract — crash-resume byte-identical to an uninterrupted
+run — holds only if a checkpoint captures *all* of the run's mutable
+state. There is one checkpoint protocol:
+:meth:`repro.core.pipeline.MobilityPipeline.snapshot` pickles every
+component its ``_STATEFUL_COMPONENTS`` literal names and ``restore()``
+unpickles them. Components pickle whole, except those whose append-only
+state writes its own ``__getstate__``/``__setstate__``. A field added but
+forgotten in either place is invisible to every unit test that doesn't
+crash at exactly the right record; this rule makes the omission a lint
+error instead.
 
 What counts as **mutable state**: a field assigned in ``__init__`` and
 then written again outside it — rebound, aug-assigned, item-assigned,
 deleted, or mutated through a known container method
-(:data:`repro.analysis.classindex.MUTATOR_METHODS`). Config captured at
-construction and never touched again is not state and is not required
-in snapshots.
+(:data:`repro.analysis.classindex.MUTATOR_METHODS`). Writes inside the
+checkpoint methods themselves do not count.
 
 Checked shapes:
 
-- a class defining both methods must reference each mutable field in
-  both (``self.field`` anywhere in the body, including tuple unpacking);
-- a class using :class:`repro.streams.checkpoint.StatefulMixin` must
-  list each mutable field in its literal ``_STATE_FIELDS`` tuple;
-- a class defining one method without the other is always wrong;
-- a class deriving from ``Operator`` with mutable state of its own must
-  define the pair, use the mixin, or inherit a ``snapshot`` that
-  demonstrably covers its fields — the stateless ``Operator`` default
-  (``return None``) covers nothing.
+- **the component list.** A class declaring ``_STATEFUL_COMPONENTS``
+  also declares ``_NOT_CHECKPOINTED``, a dict literal mapping each
+  ``__init__`` field it deliberately leaves out (configuration, derived
+  state, per-record transients) to a one-line reason. Every field
+  ``__init__`` assigns must be in exactly one of the two;
+- **hand-written pickle state.** A class defining only one of
+  ``__getstate__``/``__setstate__`` is a finding. In a class defining
+  both, every mutable field must be covered: referenced by
+  ``__getstate__``, or re-established by ``__setstate__`` (assigned
+  there, or ``__setstate__`` calls ``__init__``);
+- ``snapshot()``/``restore()`` come as a pair, and a pair not driven by
+  ``_STATEFUL_COMPONENTS`` must reference each mutable field in both.
+
+Blind spot: :class:`repro.model.reports.PositionReport` assigns its
+state functions to the class after creation (a frozen slots dataclass
+overwrites class-body ones), so a rule reading class bodies cannot see
+them.
 """
 
 from __future__ import annotations
@@ -32,7 +43,11 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterable
 
-from repro.analysis.classindex import ClassInfo, referenced_self_attrs
+from repro.analysis.classindex import (
+    ClassInfo,
+    mutated_self_attrs,
+    referenced_self_attrs,
+)
 from repro.analysis.findings import Finding
 from repro.analysis.rules.base import Rule
 
@@ -40,102 +55,80 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.classindex import ClassIndex
     from repro.analysis.source import ParsedModule
 
-#: Root base class of the operator protocol (repro.streams.operators).
-_OPERATOR_ROOT = "Operator"
-#: The dict-shaped checkpoint helper (repro.streams.checkpoint).
-_STATEFUL_MIXIN = "StatefulMixin"
 
-
-def _uses_dynamic_state(func: ast.FunctionDef) -> bool:
-    """Snapshot/restore driven by ``getattr(self, name)`` over a field list."""
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("getattr", "setattr")
-            and node.args
-            and isinstance(node.args[0], ast.Name)
-            and node.args[0].id == "self"
-        ):
-            return True
-    return False
+def _calls_init(func: ast.FunctionDef) -> bool:
+    """``__init__`` called anywhere in the body (``Cls.__init__(self)`` etc.)."""
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__init__"
+        for node in ast.walk(func)
+    )
 
 
 class SnapshotCoverageRule(Rule):
     rule_id = "C1"
-    title = "snapshot()/restore() must cover every mutable field"
+    title = "checkpoints must cover every mutable field"
     protects = "PR 1/3: crash-resume byte-identical to an uninterrupted run"
-    # Inherited snapshot/restore resolve through the class index, so a
-    # finding here can change when a *base class* in another file does.
-    cross_module = True
 
     def check(self, module: "ParsedModule", index: "ClassIndex") -> Iterable[Finding]:
         for info in index.by_module.get(module.path, ()):
-            yield from self._check_class(module, index, info)
+            yield from self._check_class(module, info)
 
-    def _check_class(
-        self, module: "ParsedModule", index: "ClassIndex", info: ClassInfo
+    def _check_class(self, module: "ParsedModule", info: ClassInfo) -> Iterable[Finding]:
+        paired: dict[str, tuple[ast.FunctionDef, ast.FunctionDef]] = {}
+        for save, load in (("snapshot", "restore"), ("__getstate__", "__setstate__")):
+            if save in info.methods and load in info.methods:
+                pair = (info.methods[save], info.methods[load])
+                if all(isinstance(method, ast.FunctionDef) for method in pair):
+                    paired[save] = pair
+            elif save in info.methods or load in info.methods:
+                present, missing = (save, load) if save in info.methods else (load, save)
+                yield self.finding(
+                    module,
+                    info.methods[present],
+                    f"{info.name} defines {present}() without {missing}(): "
+                    "the checkpoint protocol requires the pair",
+                    detail=info.name,
+                )
+        if info.components_node is not None:
+            yield from self._check_component_list(module, info, info.components_node)
+        elif "snapshot" in paired:
+            yield from self._check_snapshot_pair(module, info, *paired["snapshot"])
+        if "__getstate__" in paired:
+            yield from self._check_pickle_pair(module, info, *paired["__getstate__"])
+
+    def _check_component_list(
+        self, module: "ParsedModule", info: ClassInfo, literal: ast.stmt
     ) -> Iterable[Finding]:
-        has_snapshot = "snapshot" in info.methods
-        has_restore = "restore" in info.methods
-        if has_snapshot != has_restore:
-            present, missing = (
-                ("snapshot", "restore") if has_snapshot else ("restore", "snapshot")
-            )
+        components = set(info.components)
+        excluded = set(info.not_checkpointed)
+        for field in sorted(info.init_fields):
+            if field in components and field in excluded:
+                problem = "is in both _STATEFUL_COMPONENTS and _NOT_CHECKPOINTED"
+            elif field not in components and field not in excluded:
+                problem = (
+                    "is in neither _STATEFUL_COMPONENTS nor (with a reason) "
+                    "_NOT_CHECKPOINTED; a checkpoint would silently drop it"
+                )
+            else:
+                continue
             yield self.finding(
                 module,
-                info.methods[present],
-                f"{info.name} defines {present}() without {missing}(): "
-                "the checkpoint protocol requires the pair",
-                detail=info.name,
+                literal,
+                f"{info.name} field {field!r} {problem}",
+                detail=field,
             )
-            return
-        mixin_fields = self._mixin_fields(index, info)
-        if has_snapshot:
-            yield from self._check_pair_coverage(module, info)
-        elif mixin_fields is not None:
-            for field in sorted(info.stateful_fields):
-                if field not in mixin_fields:
-                    yield self.finding(
-                        module,
-                        info.node,
-                        f"{info.name}._STATE_FIELDS omits mutable field "
-                        f"{field!r}; its state would vanish on restore",
-                        detail=field,
-                    )
-        else:
-            yield from self._check_operator_without_pair(module, index, info)
 
-    def _mixin_fields(
-        self, index: "ClassIndex", info: ClassInfo
-    ) -> "tuple[str, ...] | None":
-        """Combined ``_STATE_FIELDS`` when the class uses the mixin."""
-        chain = [info] + index.ancestors(info)
-        if not any(c.name == _STATEFUL_MIXIN for c in chain):
-            return None
-        fields: list[str] = []
-        for c in chain:
-            fields.extend(c.state_fields_literal)
-        return tuple(fields)
-
-    def _check_pair_coverage(
-        self, module: "ParsedModule", info: ClassInfo
+    def _check_snapshot_pair(
+        self,
+        module: "ParsedModule",
+        info: ClassInfo,
+        snapshot: ast.FunctionDef,
+        restore: ast.FunctionDef,
     ) -> Iterable[Finding]:
-        snapshot = info.methods["snapshot"]
-        restore = info.methods["restore"]
-        if not isinstance(snapshot, ast.FunctionDef) or not isinstance(
-            restore, ast.FunctionDef
-        ):
-            return
-        # A getattr/setattr loop covers exactly the fields its driving
-        # literal (_STATE_FIELDS / _STATEFUL_COMPONENTS) names — the
-        # union with directly-referenced attrs handles mixed shapes.
-        covered_snapshot = referenced_self_attrs(snapshot) | set(
-            info.state_fields_literal
-        )
-        covered_restore = referenced_self_attrs(restore) | set(
-            info.state_fields_literal
-        )
+        covered_snapshot = referenced_self_attrs(snapshot)
+        covered_restore = referenced_self_attrs(restore)
         for field in sorted(info.stateful_fields):
             if field not in covered_snapshot:
                 yield self.finding(
@@ -154,42 +147,24 @@ class SnapshotCoverageRule(Rule):
                     detail=field,
                 )
 
-    def _check_operator_without_pair(
-        self, module: "ParsedModule", index: "ClassIndex", info: ClassInfo
+    def _check_pickle_pair(
+        self,
+        module: "ParsedModule",
+        info: ClassInfo,
+        getstate: ast.FunctionDef,
+        setstate: ast.FunctionDef,
     ) -> Iterable[Finding]:
-        if not info.stateful_fields:
-            return
-        if not index.derives_from(info, _OPERATOR_ROOT):
-            return
-        # Nearest ancestor that defines snapshot decides coverage.
-        provider: ClassInfo | None = None
-        for ancestor in index.ancestors(info):
-            if "snapshot" in ancestor.methods:
-                provider = ancestor
-                break
-        if provider is None or provider.name == _OPERATOR_ROOT:
+        covered = referenced_self_attrs(getstate)
+        if _calls_init(setstate):
+            covered |= set(info.init_fields)
+        else:
+            covered |= mutated_self_attrs(setstate)
+        for field in sorted(info.stateful_fields - covered):
             yield self.finding(
                 module,
-                info.node,
-                f"operator {info.name} has mutable state "
-                f"({', '.join(sorted(info.stateful_fields))}) but no "
-                "snapshot()/restore(); checkpoints would lose its state",
-                detail=info.name,
+                setstate,
+                f"{info.name} mutable field {field!r} is neither pickled by "
+                "__getstate__() nor re-established by __setstate__(); "
+                "unpickling would lose it",
+                detail=field,
             )
-            return
-        snapshot = provider.methods["snapshot"]
-        if not isinstance(snapshot, ast.FunctionDef) or _uses_dynamic_state(snapshot):
-            return
-        covered = referenced_self_attrs(snapshot) | set(
-            provider.state_fields_literal
-        )
-        for field in sorted(info.stateful_fields):
-            if field not in covered:
-                yield self.finding(
-                    module,
-                    info.node,
-                    f"operator {info.name} adds mutable field {field!r} but "
-                    f"inherits snapshot() from {provider.name}, which does "
-                    "not capture it",
-                    detail=field,
-                )

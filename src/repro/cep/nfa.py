@@ -9,7 +9,6 @@ reaching an accept state emits a :class:`PatternMatch` and terminates.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
@@ -227,18 +226,6 @@ class PatternEngine:
         for event in events:
             out.extend(self.process(event))
         return out
-
-    def snapshot(self) -> dict:
-        """Capture all live partial matches for a checkpoint.
-
-        The compiled automaton itself is immutable configuration and is
-        rebuilt from the pattern on restart; only the runs are state.
-        """
-        return copy.deepcopy(self._runs)
-
-    def restore(self, state: dict) -> None:
-        """Reinstate runs captured by :meth:`snapshot`."""
-        self._runs = copy.deepcopy(state)
 
     def active_runs(self, key: Any) -> int:
         """Number of live partial matches for a key (introspection)."""

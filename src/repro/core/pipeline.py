@@ -1723,9 +1723,9 @@ class MobilityPipeline:
 
     # -- checkpoint / recovery --------------------------------------------------
 
-    #: Every attribute holding mutable run state. The transformer and the
-    #: geo/config objects are immutable configuration and are rebuilt by
-    #: the constructor; the executor is rebound to the restored store.
+    #: Every attribute holding mutable run state. What ``__init__`` sets
+    #: besides is in :attr:`_NOT_CHECKPOINTED`; rule C1 checks that each
+    #: field is in exactly one of the two.
     _STATEFUL_COMPONENTS: tuple[str, ...] = (
         "_dedup",
         "_plausibility",
@@ -1747,7 +1747,27 @@ class MobilityPipeline:
         "_stage_wall",
     )
 
-    # lint: allow[C1] per-record transients (_trace_this_record, _record_faulted, _record_end) are dead at the record-boundary barrier; _lat_buf is drained into the checkpointed registry by _flush_latency() below
+    #: ``__init__`` fields a checkpoint leaves out, each with the reason.
+    _NOT_CHECKPOINTED: dict[str, str] = {
+        "config": "immutable configuration, rebuilt by the constructor",
+        "registry": "caller-supplied entity registry, rebuilt by the constructor",
+        "zones": "immutable configuration, rebuilt by the constructor",
+        "domain": "immutable configuration, rebuilt by the constructor",
+        "grid": "derived from bbox and config by the constructor",
+        "transformer": "derived from grid and config by the constructor",
+        "weather": "caller-supplied read-only source, rebuilt by the constructor",
+        "executor": "stateless over the store; restore() rebinds it to the restored one",
+        "_zone_index": "derived from zones by the constructor",
+        "_obs": "derived from metrics; restore() recomputes it",
+        "_trace_every": "derived from config and metrics; restore() recomputes it",
+        "_lat_buf": "drained into the checkpointed registry by snapshot(); restore() clears it",
+        "_trace_this_record": "per-record transient, dead at the record-boundary barrier",
+        "_record_end": "per-record transient, dead at the record-boundary barrier",
+        "_record_faulted": "per-record transient, dead at the record-boundary barrier",
+        "_chaos": "immutable configuration; the injector it seeds is checkpointed",
+        "_emitter": "derived from the store's dictionary; restore() rebuilds it",
+    }
+
     def snapshot(self) -> bytes:
         """Serialize every stateful component into a checkpoint payload.
 
@@ -1772,7 +1792,6 @@ class MobilityPipeline:
             protocol=pickle.HIGHEST_PROTOCOL,
         )
 
-    # lint: allow[C1] per-record transients (_trace_this_record, _record_faulted, _record_end) are reinitialized per record; resume always starts at a record boundary
     def restore(self, payload: bytes) -> None:
         """Reinstate a :meth:`snapshot` payload on a compatibly-built pipeline.
 

@@ -24,7 +24,7 @@ from repro.insitu.filters import (
     clean_reports,
 )
 from repro.insitu.critical import CriticalPointType, CriticalPointDetector, AnnotatedReport
-from repro.insitu.synopses import SynopsesConfig, SynopsesGenerator, SynopsesOperator, compress_trajectory
+from repro.insitu.synopses import SynopsesConfig, SynopsesGenerator, compress_trajectory
 from repro.insitu.douglas_peucker import douglas_peucker
 from repro.insitu.quality import (
     reconstruction_errors_m,
@@ -48,7 +48,6 @@ __all__ = [
     "AnnotatedReport",
     "SynopsesConfig",
     "SynopsesGenerator",
-    "SynopsesOperator",
     "compress_trajectory",
     "douglas_peucker",
     "reconstruction_errors_m",

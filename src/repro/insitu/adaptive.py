@@ -143,21 +143,3 @@ class AdaptiveSynopsesGenerator:
         # The generator reads the threshold from its config on every
         # decision; swapping the config object preserves per-entity state.
         self._generator.config = new_config
-
-    def snapshot(self) -> dict:
-        """Capture inner generator state plus the adaptation state."""
-        return {
-            "generator": self._generator.snapshot(),
-            "threshold_m": self.current_threshold_m,
-            "window_seen": self._window_seen,
-            "window_kept": self._window_kept,
-            "threshold_history": list(self.threshold_history),
-        }
-
-    def restore(self, state: dict) -> None:
-        """Reinstate state captured by :meth:`snapshot`."""
-        self._generator.restore(state["generator"])
-        self._swap_threshold(state["threshold_m"])
-        self._window_seen = state["window_seen"]
-        self._window_kept = state["window_kept"]
-        self.threshold_history = list(state["threshold_history"])

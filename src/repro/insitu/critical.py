@@ -12,7 +12,6 @@ never looks ahead.
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass, field
 from typing import Any
@@ -160,14 +159,6 @@ class CriticalPointDetector:
 
         state.last = report
         return AnnotatedReport(report=report, critical=tuple(critical))
-
-    def snapshot(self) -> dict:
-        """Capture per-entity detector state for a checkpoint."""
-        return copy.deepcopy(self._states)
-
-    def restore(self, state: dict) -> None:
-        """Reinstate state captured by :meth:`snapshot`."""
-        self._states = copy.deepcopy(state)
 
     def reset(self) -> None:
         """Forget all per-entity state."""

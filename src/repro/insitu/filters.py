@@ -14,7 +14,6 @@ import numpy as np
 from repro.geo.geodesy import haversine_m, haversine_m_arrays
 from repro.model.entities import EntityRegistry
 from repro.model.reports import PositionReport
-from repro.streams.checkpoint import StatefulMixin
 
 if TYPE_CHECKING:
     from repro.core.recordbatch import RecordBatch
@@ -32,7 +31,7 @@ _CHAIN_MIN_GROUP = 4
 _BOUNDARY_MARGIN = 1e-9
 
 
-class PlausibilityFilter(StatefulMixin):
+class PlausibilityFilter:
     """Rejects physically impossible reports.
 
     A report is rejected when the implied speed from the entity's previous
@@ -42,8 +41,6 @@ class PlausibilityFilter(StatefulMixin):
     rejected too (the stream layer handles bounded lateness; an entity's
     *own* history must stay ordered for kinematic checks to make sense).
     """
-
-    _STATE_FIELDS = ("_last", "rejected")
 
     def __init__(
         self,
@@ -173,13 +170,11 @@ class PlausibilityFilter(StatefulMixin):
         return self.accept(report)
 
 
-class DeduplicateFilter(StatefulMixin):
+class DeduplicateFilter:
     """Drops exact duplicates: same entity, timestamp and position.
 
     Keeps a bounded per-entity memory of recent (t, lon, lat) keys.
     """
-
-    _STATE_FIELDS = ("_seen", "dropped")
 
     def __init__(self, memory: int = 64) -> None:
         if memory <= 0:

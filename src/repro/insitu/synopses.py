@@ -18,10 +18,9 @@ depend on.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,8 +38,6 @@ if TYPE_CHECKING:
     from repro.core.recordbatch import RecordBatch
 from repro.model.trajectory import Trajectory
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.streams.operators import KeyedProcessOperator
-from repro.streams.records import Record
 
 
 @dataclass(frozen=True)
@@ -440,71 +437,6 @@ class SynopsesGenerator:
         self.kept = 0
         self._published_seen = 0
         self._published_kept = 0
-
-    def snapshot(self) -> dict:
-        """Capture generator + detector state for a checkpoint."""
-        return {
-            "detector": self._detector.snapshot(),
-            "last_kept": copy.deepcopy(self._last_kept),
-            "last_seen": copy.deepcopy(self._last_seen),
-            "seen": self.seen,
-            "kept": self.kept,
-            "published_seen": self._published_seen,
-            "published_kept": self._published_kept,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Reinstate state captured by :meth:`snapshot`."""
-        self._detector.restore(state["detector"])
-        self._last_kept = copy.deepcopy(state["last_kept"])
-        self._last_seen = copy.deepcopy(state["last_seen"])
-        self.seen = state["seen"]
-        self.kept = state["kept"]
-        self._published_seen = state.get("published_seen", 0)
-        self._published_kept = state.get("published_kept", 0)
-
-
-class SynopsesOperator(KeyedProcessOperator):
-    """Streaming wrapper: emits only kept (annotated) reports.
-
-    Keyed by entity id; the value type changes from :class:`PositionReport`
-    to :class:`AnnotatedReport` downstream.
-    """
-
-    def __init__(
-        self,
-        config: SynopsesConfig | None = None,
-        name: str = "synopses",
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        super().__init__(key_fn=lambda r: r.entity_id, name=name)
-        self.generator = SynopsesGenerator(config, metrics=metrics)
-
-    def process_keyed(self, record: Record, state: dict[str, Any]) -> Iterable[Record]:
-        annotated, keep = self.generator.process(record.value)
-        if keep:
-            return (record.with_value(annotated),)
-        return ()
-
-    def flush_key(self, key: Any, state: dict[str, Any]) -> Iterable[Record]:
-        report = self.generator.finish(key)
-        if report is None:
-            return ()
-        return (
-            Record(
-                event_time=report.t,
-                value=AnnotatedReport(report=report, critical=()),
-                key=key,
-            ),
-        )
-
-    def snapshot(self) -> Any:
-        return {"keyed": super().snapshot(), "generator": self.generator.snapshot()}
-
-    def restore(self, state: Any) -> None:
-        super().restore(state["keyed"])
-        self.generator.restore(state["generator"])
-
 
 def compress_trajectory(
     trajectory: Trajectory,

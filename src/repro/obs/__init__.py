@@ -9,7 +9,7 @@ registry cover ingest → synopsis → RDF → store → query end-to-end:
   a zero-cost disabled mode (:data:`NULL_REGISTRY`).
 - Exporters — :class:`JsonLinesExporter` (durable, reload-identical),
   :class:`PrometheusTextExporter`, :class:`InMemoryExporter`.
-- :class:`SLOChecker` — millisecond p50/p95/p99 budgets per operator and
+- :class:`SLOChecker` — millisecond p50/p95/p99 budgets per stage and
   end-to-end, the executable form of the paper's "latency in ms"
   requirement (experiment E2).
 """
@@ -21,7 +21,6 @@ from repro.obs.metrics import (
     Gauge,
     LatencyHistogram,
     MetricsRegistry,
-    OperatorMetrics,
 )
 from repro.obs.slo import (
     DEFAULT_E2_BUDGETS,
@@ -39,7 +38,6 @@ __all__ = [
     "LatencyHistogram",
     "MetricsRegistry",
     "NULL_REGISTRY",
-    "OperatorMetrics",
     "Span",
     "SpanRecord",
     "Tracer",

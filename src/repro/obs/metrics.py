@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "LatencyHistogram",
     "MetricsRegistry",
     "NULL_REGISTRY",
-    "OperatorMetrics",
 ]
 
 
@@ -246,46 +244,6 @@ class _NullHistogram(LatencyHistogram):
         return None
 
 
-@dataclass
-class OperatorMetrics:
-    """Per-operator metric bundle collected by the stream runner."""
-
-    name: str
-    records_in: Counter = field(default_factory=Counter)
-    records_out: Counter = field(default_factory=Counter)
-    processing_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
-    _started_at: float | None = None
-    _ended_at: float | None = None
-
-    def mark_start(self) -> None:
-        """Record wall-clock start of processing."""
-        if self._started_at is None:
-            self._started_at = monotonic()
-
-    def mark_end(self) -> None:
-        """Record wall-clock end of processing."""
-        self._ended_at = monotonic()
-
-    def throughput_rps(self) -> float:
-        """Records-in per wall-clock second over the run."""
-        if self._started_at is None or self._ended_at is None:
-            return 0.0
-        elapsed = self._ended_at - self._started_at
-        if elapsed <= 0:
-            return 0.0
-        return self.records_in.value / elapsed
-
-    def summary(self) -> dict[str, float]:
-        """Flat metric summary for reporting."""
-        out = {
-            "records_in": float(self.records_in.value),
-            "records_out": float(self.records_out.value),
-            "throughput_rps": self.throughput_rps(),
-        }
-        out.update(self.processing_latency.summary())
-        return out
-
-
 class _Timer:
     """Context manager recording its body's wall time into a histogram."""
 
@@ -397,21 +355,6 @@ class MetricsRegistry:
         return self.tracer.spans
 
     # -- aggregation --------------------------------------------------------
-
-    def absorb_operator(self, metrics: OperatorMetrics, prefix: str = "streams") -> None:
-        """Fold one stream operator's metric bundle into the registry.
-
-        Populates ``{prefix}.{op}.records_in`` / ``records_out`` counters
-        and the ``{prefix}.{op}.latency`` histogram — called by the stream
-        runner after a run so operator metrics land on the shared surface
-        without per-record overhead.
-        """
-        if not self.enabled:
-            return
-        base = f"{prefix}.{metrics.name}"
-        self.counter(f"{base}.records_in").inc(metrics.records_in.value)
-        self.counter(f"{base}.records_out").inc(metrics.records_out.value)
-        self.histogram(f"{base}.latency").merge(metrics.processing_latency)
 
     def merge(self, other: "MetricsRegistry", prefix: str = "") -> None:
         """Fold another registry (e.g. a parallel worker's) into this one.

@@ -10,8 +10,9 @@ Three failure models, matching what surveillance-stream deployments see:
   :class:`RetryPolicy` (exponential backoff with jitter) governs how
   often they are retried;
 - **poison records** — records whose processing keeps failing past the
-  retry budget land in a :class:`DeadLetterQueue` instead of stalling or
-  killing the stream.
+  retry budget become a :class:`DeadLetter` in the pipeline's result
+  (``PipelineResult.dead_letters``) instead of stalling or killing the
+  stream.
 
 Faults are injected at stage *entry*, before any state mutation, so a
 retried attempt never observes a partially-applied stage — the same
@@ -22,11 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Iterable, Iterator
-
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.streams.operators import Operator
-from repro.streams.records import Record, Watermark
+from typing import Any, Collection, Iterable, Iterator
 
 
 class InjectedCrash(RuntimeError):
@@ -79,45 +76,6 @@ class DeadLetter:
     event_time: float | None
     error: str
     attempts: int
-
-
-class DeadLetterQueue:
-    """Terminal parking lot for records no retry could save."""
-
-    def __init__(self) -> None:
-        self._items: list[DeadLetter] = []
-
-    def append(self, letter: DeadLetter) -> None:
-        """Park one dead letter."""
-        self._items.append(letter)
-
-    @property
-    def items(self) -> tuple[DeadLetter, ...]:
-        """All dead letters in arrival order."""
-        return tuple(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def counts_by_stage(self) -> dict[str, int]:
-        """Dead-letter count per originating stage."""
-        out: dict[str, int] = {}
-        for letter in self._items:
-            out[letter.stage] = out.get(letter.stage, 0) + 1
-        return out
-
-    def snapshot(self) -> list[DeadLetter]:
-        """Copy the parked letters for a checkpoint (letters are frozen)."""
-        return list(self._items)
-
-    def restore(self, state: list[DeadLetter]) -> None:
-        """Replace the contents **in place**, preserving queue identity.
-
-        Operators snapshot a shared DLQ independently; restoring in
-        place (rather than rebinding) keeps every sharer attached to the
-        same queue object.
-        """
-        self._items[:] = state
 
 
 class CrashInjector:
@@ -208,120 +166,3 @@ class ChaosConfig:
     stages: frozenset[str] | None = None
     seed: int = 0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-
-
-class RetryingOperator(Operator):
-    """Wraps an operator with retry-with-backoff and a dead-letter queue.
-
-    A :meth:`process` call that raises one of ``retry_on`` is retried up
-    to ``policy.max_retries`` times with exponential backoff; a record
-    that exhausts the budget is parked in the DLQ and dropped (the stream
-    keeps flowing — degraded, not dead).
-
-    Args:
-        inner: The wrapped operator.
-        policy: Retry/backoff policy.
-        dlq: Shared dead-letter queue (a fresh one is created if omitted).
-        injector: Optional fault source consulted before each attempt.
-        retry_on: Exception types treated as transient.
-        sleep: Called with each backoff delay; ``None`` (the default) only
-            accumulates :attr:`total_backoff_s` — tests and simulations
-            should not actually sleep.
-        seed: Seeds the backoff jitter.
-        metrics: Observability registry; when given, failures/retries/
-            recoveries/dead-letters also land on ``chaos.<op>.*`` counters
-            so the degraded-mode path shows up on the shared surface.
-    """
-
-    def __init__(
-        self,
-        inner: Operator,
-        policy: RetryPolicy | None = None,
-        dlq: DeadLetterQueue | None = None,
-        injector: TransientFaultInjector | None = None,
-        retry_on: tuple[type[BaseException], ...] = (TransientFault,),
-        sleep: Callable[[float], None] | None = None,
-        seed: int = 0,
-        name: str | None = None,
-        metrics: "MetricsRegistry | None" = None,
-    ) -> None:
-        self.inner = inner
-        self.policy = policy or RetryPolicy()
-        self.dlq = dlq if dlq is not None else DeadLetterQueue()
-        self.injector = injector
-        self.retry_on = retry_on
-        self._sleep = sleep
-        self._rng = random.Random(seed)
-        self.name = name or f"retry({inner.name})"
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        #: Failed attempts observed (including the ones later retried).
-        self.failures = 0
-        #: Retries performed.
-        self.retries = 0
-        #: Records that failed at least once but ultimately succeeded.
-        self.recovered = 0
-        #: Total backoff delay accrued (simulated when ``sleep`` is None).
-        self.total_backoff_s = 0.0
-
-    def process(self, record: Record) -> Iterable[Record]:
-        attempt = 0
-        while True:
-            try:
-                if self.injector is not None:
-                    self.injector.maybe_fail(self.name)
-                out = self.inner.process(record)
-                if attempt:
-                    self.recovered += 1
-                    self.metrics.counter(f"chaos.{self.name}.recovered").inc()
-                return out
-            except self.retry_on as exc:
-                self.failures += 1
-                self.metrics.counter(f"chaos.{self.name}.failures").inc()
-                if attempt >= self.policy.max_retries:
-                    self.dlq.append(
-                        DeadLetter(
-                            stage=self.name,
-                            value=record.value,
-                            event_time=record.event_time,
-                            error=str(exc),
-                            attempts=attempt + 1,
-                        )
-                    )
-                    self.metrics.counter(f"chaos.{self.name}.dead_letters").inc()
-                    return ()
-                delay = self.policy.backoff_s(attempt, self._rng)
-                self.total_backoff_s += delay
-                if self._sleep is not None:
-                    self._sleep(delay)
-                self.retries += 1
-                self.metrics.counter(f"chaos.{self.name}.retries").inc()
-                attempt += 1
-
-    def on_watermark(self, watermark: Watermark) -> Iterable[Record]:
-        return self.inner.on_watermark(watermark)
-
-    def on_end(self) -> Iterable[Record]:
-        return self.inner.on_end()
-
-    def snapshot(self) -> Any:
-        return {
-            "inner": self.inner.snapshot(),
-            "failures": self.failures,
-            "retries": self.retries,
-            "recovered": self.recovered,
-            "total_backoff_s": self.total_backoff_s,
-            "dlq": self.dlq.snapshot(),
-            "rng": self._rng.getstate(),
-        }
-
-    def restore(self, state: Any) -> None:
-        self.inner.restore(state["inner"])
-        self.failures = state["failures"]
-        self.retries = state["retries"]
-        self.recovered = state["recovered"]
-        self.total_backoff_s = state["total_backoff_s"]
-        # Restored in place so a DLQ shared between operators keeps its
-        # identity; every sharer snapshots the same full contents, so the
-        # last restore wins with an identical list.
-        self.dlq.restore(state["dlq"])
-        self._rng.setstate(state["rng"])

@@ -5,11 +5,14 @@ operational latency constraints; in any real deployment that implies
 surviving worker crashes without losing or double-counting reports. This
 module provides the recovery substrate:
 
-- a **snapshot protocol**: every stateful operator implements
-  ``snapshot()`` / ``restore(state)`` (see :class:`repro.streams.operators.Operator`);
-- a :class:`Checkpoint`: the bundle of all operator states plus the
-  **source offset** (records consumed so far) taken at a record boundary —
-  the single-process analogue of a barrier-aligned consistent snapshot;
+- the **snapshot protocol**:
+  :meth:`repro.core.pipeline.MobilityPipeline.snapshot` pickles every
+  component its ``_STATEFUL_COMPONENTS`` names into one payload and
+  ``restore`` unpickles it; components with append-only state write
+  their own ``__getstate__``/``__setstate__`` (rule C1 checks both);
+- a :class:`Checkpoint`: that payload plus the **source offset** (records
+  consumed so far) taken at a record boundary — the single-process
+  analogue of a barrier-aligned consistent snapshot;
 - :class:`CheckpointStore` backends: :class:`InMemoryCheckpointStore` for
   tests/benchmarks and :class:`FileCheckpointStore` persisting pickled
   checkpoints to a directory, each behind a SHA-256 of its bytes — a
@@ -26,56 +29,11 @@ produces outputs and counts identical to an uninterrupted run.
 from __future__ import annotations
 
 import bisect
-import copy
 import hashlib
 import os
 import pickle
 from dataclasses import dataclass
 from typing import Any
-
-
-class StatefulMixin:
-    """Dict-shaped ``snapshot()``/``restore()`` from one field list.
-
-    Most stateful components implement the checkpoint protocol as the
-    same boilerplate: deep-copy N named fields into a dict, read the
-    same N fields back out. Inherit this mixin and declare the fields
-    once instead::
-
-        class DeduplicateFilter(StatefulMixin):
-            _STATE_FIELDS = ("_seen", "dropped")
-
-    The contract linter's snapshot-coverage rule (C1, see
-    ``docs/static-analysis.md``) understands ``_STATE_FIELDS`` and
-    verifies the literal names every mutable field — so forgetting to
-    list a new field is a lint error, exactly as forgetting it in a
-    hand-written ``snapshot()`` would be.
-
-    Payloads are self-contained (deep-copied both ways) and restore
-    refuses a payload missing any declared field, so a renamed field
-    cannot silently restore to nothing.
-    """
-
-    #: Names of every mutable attribute this object must checkpoint.
-    _STATE_FIELDS: tuple[str, ...] = ()
-
-    def snapshot(self) -> dict[str, Any]:
-        """Deep-copy every declared field into a checkpoint payload."""
-        return {
-            field: copy.deepcopy(getattr(self, field))
-            for field in self._STATE_FIELDS
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        """Reinstate a payload captured by :meth:`snapshot`."""
-        missing = [field for field in self._STATE_FIELDS if field not in state]
-        if missing:
-            raise KeyError(
-                f"checkpoint payload for {type(self).__name__} is missing "
-                f"state fields: {missing}"
-            )
-        for field in self._STATE_FIELDS:
-            setattr(self, field, copy.deepcopy(state[field]))
 
 
 @dataclass(frozen=True)
@@ -87,11 +45,10 @@ class Checkpoint:
             (use :meth:`CheckpointStore.next_id`).
         source_offset: Number of source records fully processed when the
             snapshot was taken. Resume skips exactly this prefix.
-        states: The state payload, opaque to the stores: operator states
-            keyed by a stable stage id (streams tier) or the bytes of
+        states: The state payload, opaque to the stores: the bytes of
             :meth:`repro.core.pipeline.MobilityPipeline.snapshot`. It
             must be self-contained (serialized or deep-copied), never
-            aliased to live operator state.
+            aliased to live state.
     """
 
     checkpoint_id: int
@@ -198,13 +155,14 @@ class FileCheckpointStore(CheckpointStore):
 
     Survives process crashes: a fresh store opened on the same directory
     sees the previous run's checkpoints. States must therefore be
-    picklable (the built-in operator snapshots are; a pipeline snapshot
-    is already bytes, so pickling it is a buffer copy). A file is the
+    picklable (a pipeline snapshot is already bytes, so pickling it is a
+    buffer copy). A file is the
     SHA-256 of the pickled checkpoint followed by the pickle itself.
 
     One writer per directory: the directory is listed once, at open
-    (sweeping ``*.tmp`` files a crash mid-write left behind), and the id
-    list is kept in memory from then on.
+    (sweeping ``*.tmp`` files a crash mid-write left behind, ignoring
+    names whose id part is not all ASCII digits), and the id list is
+    kept in memory from then on.
     """
 
     _PREFIX = "checkpoint-"
@@ -224,7 +182,11 @@ class FileCheckpointStore(CheckpointStore):
             if name.endswith(self._SUFFIX + ".tmp"):
                 os.remove(os.path.join(directory, name))
             elif name.endswith(self._SUFFIX):
-                self._ids.append(int(name[len(self._PREFIX) : -len(self._SUFFIX)]))
+                # Only names this store writes: a stray ``checkpoint-latest.pkl``
+                # or ``checkpoint--1.pkl`` is someone else's file, not an id.
+                id_part = name[len(self._PREFIX) : -len(self._SUFFIX)]
+                if id_part.isascii() and id_part.isdigit():
+                    self._ids.append(int(id_part))
         self._ids.sort()
 
     def _path(self, checkpoint_id: int) -> str:

@@ -1,9 +1,4 @@
-"""Replay sources: turning recorded data back into streams.
-
-The latency experiments need a stream that arrives *over time* rather
-than as fast as Python can iterate. :func:`replay` yields records paced
-against the wall clock at a configurable speedup; :func:`replay_instant`
-is the un-paced variant used everywhere pacing does not matter.
+"""Replay source: a recorded stream that can be re-read from any offset.
 
 :class:`ReplayLog` is the recovery-side source: a materialized log that
 can be re-read from any offset, so a resume-from-checkpoint replays
@@ -13,11 +8,7 @@ what deduplicates replayed records).
 
 from __future__ import annotations
 
-import time
-from typing import Any, Generic, Iterable, Iterator, TypeVar
-
-from repro.obs.clock import monotonic
-from repro.streams.records import Record
+from typing import Generic, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -27,8 +18,8 @@ class ReplayLog(Generic[T]):
 
     Stands in for a durable, offset-addressable source (a Kafka topic, an
     archived AIS file): the same log instance feeds the original run and
-    any number of recovery replays. Items may be :class:`Record` instances
-    or raw domain objects (e.g. position reports).
+    any number of recovery replays. Items are whatever the consumer
+    ingests, e.g. position reports.
     """
 
     def __init__(self, items: Iterable[T]) -> None:
@@ -45,47 +36,3 @@ class ReplayLog(Generic[T]):
         if offset < 0:
             raise ValueError("offset must be >= 0")
         yield from self._items[offset:]
-
-    @classmethod
-    def from_timed_values(cls, timed_values: Iterable[tuple[float, Any]]) -> "ReplayLog[Record]":
-        """Build a record log from ``(event_time, value)`` pairs."""
-        return cls(replay_instant(timed_values))
-
-
-def replay_instant(
-    timed_values: Iterable[tuple[float, Any]],
-) -> Iterator[Record]:
-    """Wrap ``(event_time, value)`` pairs as records with no pacing."""
-    for event_time, value in timed_values:
-        yield Record(event_time=event_time, value=value)
-
-
-def replay(
-    timed_values: Iterable[tuple[float, Any]],
-    speedup: float = 60.0,
-    max_sleep_s: float = 1.0,
-    clock=monotonic,
-    sleep=time.sleep,
-) -> Iterator[Record]:
-    """Yield records paced so event time advances ``speedup``× wall time.
-
-    Args:
-        speedup: 60 → one event-time minute per wall second.
-        max_sleep_s: Individual sleeps are capped (long silences in the
-            data don't stall a demo).
-        clock / sleep: Injectable for tests.
-    """
-    if speedup <= 0:
-        raise ValueError("speedup must be positive")
-    started_wall = None
-    started_event = None
-    for event_time, value in timed_values:
-        if started_wall is None:
-            started_wall = clock()
-            started_event = event_time
-        else:
-            due_wall = started_wall + (event_time - started_event) / speedup
-            delay = due_wall - clock()
-            if delay > 0:
-                sleep(min(delay, max_sleep_s))
-        yield Record(event_time=event_time, value=value)

@@ -6,17 +6,13 @@ Turns per-entity report sequences into clean :class:`Trajectory` objects:
 2. reject physics-violating jumps (speed ceiling between samples);
 3. split into voyage segments wherever the time gap exceeds a threshold;
 4. optionally smooth positions with a small moving-average window.
-
-A streaming variant (:class:`TrajectoryReconstructor` as an operator via
-:meth:`TrajectoryReconstructor.operator`) accumulates per-entity buffers
-and emits each completed segment when a gap closes or the stream ends.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -24,8 +20,6 @@ from repro.geo.geodesy import haversine_m
 from repro.model.points import Domain
 from repro.model.reports import PositionReport
 from repro.model.trajectory import Trajectory
-from repro.streams.operators import KeyedProcessOperator
-from repro.streams.records import Record
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,11 +108,6 @@ class TrajectoryReconstructor:
         domain = reports[0].domain if reports else Domain.MARITIME
         return Trajectory(entity_id, t, lon, lat, alt, domain=domain)
 
-    def operator(self, name: str = "reconstruct") -> _ReconstructionOperator:
-        """A streaming operator emitting completed segments per entity."""
-        return _ReconstructionOperator(self, name=name)
-
-
 def _moving_average(values: np.ndarray, half_window: int) -> np.ndarray:
     """Centred moving average preserving the endpoints."""
     window = 2 * half_window + 1
@@ -130,36 +119,6 @@ def _moving_average(values: np.ndarray, half_window: int) -> np.ndarray:
     smoothed[:half_window] = values[:half_window]
     smoothed[-half_window:] = values[-half_window:]
     return smoothed
-
-
-class _ReconstructionOperator(KeyedProcessOperator):
-    """Streaming wrapper: emits a Trajectory when a segment completes."""
-
-    def __init__(self, reconstructor: TrajectoryReconstructor, name: str) -> None:
-        super().__init__(key_fn=lambda r: r.entity_id, name=name)
-        self._reconstructor = reconstructor
-
-    def process_keyed(self, record: Record, state: dict[str, Any]) -> Iterable[Record]:
-        report: PositionReport = record.value
-        buffer: list[PositionReport] = state.setdefault("buffer", [])
-        if buffer and report.t - buffer[-1].t > self._reconstructor.config.max_gap_s:
-            segments = self._reconstructor.reconstruct(buffer)
-            state["buffer"] = [report]
-            return tuple(
-                Record(event_time=seg.end_time, value=seg, key=record.key)
-                for seg in segments
-            )
-        buffer.append(report)
-        return ()
-
-    def flush_key(self, key: Any, state: dict[str, Any]) -> Iterable[Record]:
-        buffer = state.get("buffer") or []
-        if not buffer:
-            return ()
-        segments = self._reconstructor.reconstruct(buffer)
-        return tuple(
-            Record(event_time=seg.end_time, value=seg, key=key) for seg in segments
-        )
 
 
 def reconstruct_all(

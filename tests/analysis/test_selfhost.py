@@ -37,25 +37,39 @@ def _copy_tree(tmp_path, rel_sources):
 
 
 class TestMutations:
-    def test_dropping_a_state_field_turns_the_run_red(self, tmp_path):
-        root = _copy_tree(
-            tmp_path, ["repro/insitu/filters.py", "repro/streams/checkpoint.py"]
-        )
-        target = root / "repro/insitu/filters.py"
-        mutated = target.read_text().replace(
-            '_STATE_FIELDS = ("_seen", "dropped")', '_STATE_FIELDS = ("_seen",)'
-        )
-        assert mutated != target.read_text(), "mutation site moved; update test"
-        target.write_text(mutated)
+    def _assert_c1_names(self, root, field):
         assert main([str(root)]) == 1
         result = analyze_paths([str(root)])
         assert any(
-            f.rule == "C1" and f.detail == "dropped" for f in result.open_findings
+            f.rule == "C1" and f.detail == field for f in result.open_findings
+        ), result.open_findings
+
+    def _mutate(self, target, old, new):
+        mutated = target.read_text().replace(old, new, 1)
+        assert mutated != target.read_text(), "mutation site moved; update test"
+        target.write_text(mutated)
+
+    def test_dropping_a_pipeline_component_turns_the_run_red(self, tmp_path):
+        root = _copy_tree(tmp_path, ["repro/core/pipeline.py"])
+        self._mutate(
+            root / "repro/core/pipeline.py",
+            '_STATEFUL_COMPONENTS: tuple[str, ...] = (\n        "_dedup",\n',
+            "_STATEFUL_COMPONENTS: tuple[str, ...] = (\n",
         )
+        self._assert_c1_names(root, "_dedup")
+
+    def test_dropping_a_setstate_rebuild_turns_the_run_red(self, tmp_path):
+        root = _copy_tree(tmp_path, ["repro/store/dictionary.py"])
+        self._mutate(
+            root / "repro/store/dictionary.py",
+            "        self._by_term = {term: term_id for term_id, term in enumerate(by_id)}\n",
+            "",
+        )
+        self._assert_c1_names(root, "_by_term")
 
     def test_unmutated_copies_stay_green(self, tmp_path):
         root = _copy_tree(
-            tmp_path, ["repro/insitu/filters.py", "repro/streams/checkpoint.py"]
+            tmp_path, ["repro/core/pipeline.py", "repro/store/dictionary.py"]
         )
         assert main([str(root)]) == 0
 

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.insitu.quality import evaluate_compression, reconstruction_errors_m
-from repro.insitu.synopses import SynopsesConfig, SynopsesGenerator, SynopsesOperator, compress_trajectory
+from repro.insitu.synopses import SynopsesConfig, SynopsesGenerator, compress_trajectory
 from repro.model.reports import PositionReport
 from repro.model.trajectory import Trajectory
 from repro.sources.kinematics import simulate_route
 from repro.sources.world import RouteSpec
-from repro.streams.records import Record
 
 
 def straight_trajectory(n=200, speed_deg=0.0005):
@@ -55,6 +54,12 @@ class TestDecisionRule:
         gen.process(PositionReport(entity_id="V1", t=0.0, lon=24.0, lat=37.0))
         gen.reset()
         assert gen.seen == 0 and gen.kept == 0
+
+    def test_config_validation(self):
+        with pytest.raises(ValueError):
+            SynopsesConfig(dr_error_threshold_m=-1.0)
+        with pytest.raises(ValueError):
+            SynopsesConfig(max_silence_s=0.0)
 
 
 class TestErrorBound:
@@ -143,27 +148,3 @@ class TestQualityMetrics:
         truth = straight_trajectory(10)
         with pytest.raises(ValueError):
             reconstruction_errors_m(truth, Trajectory("V1", [], [], []))
-
-
-class TestStreamingOperator:
-    def test_operator_emits_only_kept(self):
-        operator = SynopsesOperator(SynopsesConfig(dr_error_threshold_m=100.0))
-        truth = straight_trajectory(100)
-        emitted = 0
-        for i in range(len(truth)):
-            point = truth[i]
-            record = Record(
-                event_time=point.t,
-                value=PositionReport(
-                    entity_id="V1", t=point.t, lon=point.lon, lat=point.lat,
-                    speed=5.5, heading=90.0,
-                ),
-            )
-            emitted += len(list(operator.process(record)))
-        assert 0 < emitted < 20
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SynopsesConfig(dr_error_threshold_m=-1.0)
-        with pytest.raises(ValueError):
-            SynopsesConfig(max_silence_s=0.0)

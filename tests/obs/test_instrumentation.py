@@ -1,4 +1,4 @@
-"""One registry sees every tier: pipeline, streams, store, chaos."""
+"""One registry sees every tier: pipeline stages, store, query, checkpoints."""
 
 import random
 
@@ -9,9 +9,6 @@ from repro.core.pipeline import MobilityPipeline
 from repro.geo.bbox import BBox
 from repro.model.reports import PositionReport
 from repro.obs import DEFAULT_E2_BUDGETS, MetricsRegistry, SLOChecker
-from repro.streams.chaos import RetryingOperator, TransientFaultInjector
-from repro.streams.operators import CollectSink, MapOperator
-from repro.streams.topology import StreamRunner, Topology
 
 BBOX = BBox(-2.0, 49.0, 2.0, 52.0)
 
@@ -149,36 +146,3 @@ class TestCheckpointSharing:
         assert pipeline.store.metrics is pipeline.metrics
         assert pipeline.executor.metrics is pipeline.metrics
         assert pipeline.metrics.histogram("pipeline.end_to_end").count == 30
-
-
-class TestStreamsInstrumentation:
-    def test_runner_absorbs_operator_metrics(self):
-        metrics = MetricsRegistry(seed=2)
-        topo = Topology()
-        head = topo.add_source_stage(MapOperator(lambda x: x * 2, name="double"))
-        sink = CollectSink()
-        topo.chain(head, sink)
-        StreamRunner(topo, track_latency=True, metrics=metrics).run_values(
-            [(float(i), i) for i in range(20)]
-        )
-        counters = metrics.counters()
-        assert counters["streams.double.records_in"] == 20
-        assert counters["streams.double.records_out"] == 20
-        assert metrics.histogram("streams.double.latency").count == 20
-        assert any(s.name == "streams.run" for s in metrics.spans)
-
-    def test_chaos_counters(self):
-        metrics = MetricsRegistry(seed=3)
-        flaky = RetryingOperator(
-            MapOperator(lambda x: x, name="inner"),
-            injector=TransientFaultInjector(fail_prob=0.3, seed=13),
-            name="flaky",
-            metrics=metrics,
-        )
-        topo = Topology()
-        head = topo.add_source_stage(flaky)
-        topo.chain(head, CollectSink())
-        StreamRunner(topo).run_values([(float(i), i) for i in range(200)])
-        counters = metrics.counters()
-        assert counters.get("chaos.flaky.failures", 0) > 0
-        assert counters.get("chaos.flaky.recovered", 0) > 0

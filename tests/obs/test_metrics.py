@@ -11,7 +11,6 @@ from repro.obs import (
     Gauge,
     LatencyHistogram,
     MetricsRegistry,
-    OperatorMetrics,
 )
 
 
@@ -54,6 +53,7 @@ class TestLatencyHistogram:
 
     def test_empty_percentile_is_zero(self):
         assert LatencyHistogram().percentile_ms(99) == 0.0
+        assert LatencyHistogram().summary()["count"] == 0
 
     def test_reservoir_bounds_memory_and_counts_all(self):
         h = LatencyHistogram(max_samples=50, seed=1)
@@ -163,17 +163,6 @@ class TestRegistry:
         with r.timer("op"):
             pass
         assert r.histogram("op").count == 1
-
-    def test_absorb_operator(self):
-        r = MetricsRegistry()
-        op = OperatorMetrics("clean")
-        op.records_in.inc(10)
-        op.records_out.inc(8)
-        op.processing_latency.record(0.002)
-        r.absorb_operator(op)
-        assert r.counters()["streams.clean.records_in"] == 10
-        assert r.counters()["streams.clean.records_out"] == 8
-        assert r.histogram("streams.clean.latency").count == 1
 
     def test_as_dict_shape(self):
         r = MetricsRegistry()

@@ -1,4 +1,4 @@
-"""Chaos layer: crash/fault injection, retry with backoff, dead letters."""
+"""Chaos layer: crash/fault injection and retry with backoff."""
 
 import random
 
@@ -6,16 +6,11 @@ import pytest
 
 from repro.streams.chaos import (
     CrashInjector,
-    DeadLetter,
-    DeadLetterQueue,
     InjectedCrash,
     RetryPolicy,
-    RetryingOperator,
     TransientFault,
     TransientFaultInjector,
 )
-from repro.streams.operators import MapOperator, Operator
-from repro.streams.records import Record
 
 
 class TestRetryPolicy:
@@ -81,90 +76,3 @@ class TestTransientFaultInjector:
         injector.maybe_fail("clean")  # never fails: not a targeted stage
         with pytest.raises(TransientFault):
             injector.maybe_fail("rdf")
-
-
-class _FailNTimes(Operator):
-    """Raises TransientFault the first ``n`` process calls per value."""
-
-    name = "flaky"
-
-    def __init__(self, n):
-        self._n = n
-        self._attempts = {}
-
-    def process(self, record):
-        seen = self._attempts.get(record.value, 0)
-        self._attempts[record.value] = seen + 1
-        if seen < self._n:
-            raise TransientFault(f"attempt {seen}")
-        return (record,)
-
-
-class TestRetryingOperator:
-    def test_recovers_within_budget(self):
-        op = RetryingOperator(_FailNTimes(2), policy=RetryPolicy(max_retries=3))
-        out = list(op.process(Record(event_time=0.0, value="a")))
-        assert [r.value for r in out] == ["a"]
-        assert op.failures == 2
-        assert op.retries == 2
-        assert op.recovered == 1
-        assert len(op.dlq) == 0
-        assert op.total_backoff_s > 0
-
-    def test_exhausted_record_lands_in_dlq(self):
-        dlq = DeadLetterQueue()
-        op = RetryingOperator(_FailNTimes(99), policy=RetryPolicy(max_retries=2), dlq=dlq)
-        out = list(op.process(Record(event_time=5.0, value="poison")))
-        assert out == []
-        (letter,) = dlq.items
-        assert letter.value == "poison"
-        assert letter.event_time == 5.0
-        assert letter.attempts == 3  # 1 initial + 2 retries
-        assert dlq.counts_by_stage() == {"retry(flaky)": 1}
-
-    def test_stream_keeps_flowing_past_poison_records(self):
-        op = RetryingOperator(_FailNTimes(99), policy=RetryPolicy(max_retries=1))
-        good = RetryingOperator(MapOperator(lambda v: v), policy=RetryPolicy())
-        outputs = []
-        for i in range(5):
-            outputs.extend(op.process(Record(event_time=float(i), value=i)))
-            outputs.extend(good.process(Record(event_time=float(i), value=i)))
-        assert [r.value for r in outputs] == [0, 1, 2, 3, 4]
-        assert len(op.dlq) == 5
-
-    def test_injected_faults_recovered_by_retries(self):
-        injector = TransientFaultInjector(0.3, seed=11)
-        op = RetryingOperator(
-            MapOperator(lambda v: v),
-            policy=RetryPolicy(max_retries=5),
-            injector=injector,
-        )
-        n = 2000
-        delivered = 0
-        for i in range(n):
-            delivered += len(list(op.process(Record(event_time=float(i), value=i))))
-        # The acceptance bar: >= 99% of transiently-failing records recover,
-        # the remainder is parked in the DLQ — nothing is silently lost.
-        assert delivered + len(op.dlq) == n
-        troubled = op.recovered + len(op.dlq)
-        assert troubled > 0
-        assert op.recovered / troubled >= 0.99
-
-    def test_snapshot_restore_round_trip(self):
-        op = RetryingOperator(_FailNTimes(1), policy=RetryPolicy(max_retries=2))
-        list(op.process(Record(event_time=0.0, value="a")))
-        state = op.snapshot()
-        fresh = RetryingOperator(_FailNTimes(1), policy=RetryPolicy(max_retries=2))
-        fresh.restore(state)
-        assert fresh.failures == 1
-        assert fresh.recovered == 1
-
-
-class TestDeadLetterQueue:
-    def test_counts_by_stage(self):
-        dlq = DeadLetterQueue()
-        dlq.append(DeadLetter("a", 1, 0.0, "boom", 2))
-        dlq.append(DeadLetter("a", 2, 1.0, "boom", 2))
-        dlq.append(DeadLetter("b", 3, 2.0, "boom", 2))
-        assert len(dlq) == 3
-        assert dlq.counts_by_stage() == {"a": 2, "b": 1}

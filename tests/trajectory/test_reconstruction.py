@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.model.reports import PositionReport
-from repro.streams.records import Record
 from repro.trajectory.reconstruction import (
     ReconstructionConfig,
     TrajectoryReconstructor,
@@ -113,26 +112,3 @@ class TestReconstructAll:
             a = rebuilt.at_time(mid_t)
             b = truth.at_time(mid_t)
             assert haversine_m(a.lon, a.lat, b.lon, b.lat) < 200.0
-
-
-class TestStreamingOperator:
-    def test_segments_emitted_on_gap_and_flush(self):
-        operator = TrajectoryReconstructor(
-            ReconstructionConfig(max_gap_s=300.0)
-        ).operator()
-        emitted = []
-        for r in walk(n=5) + walk(n=5, t0=5_000.0, lon0=24.5):
-            for out in operator.process(Record(event_time=r.t, value=r)):
-                emitted.append(out.value)
-        for out in operator.on_end():
-            emitted.append(out.value)
-        assert len(emitted) == 2
-        assert emitted[0].end_time < emitted[1].start_time
-
-    def test_per_entity_isolation(self):
-        operator = TrajectoryReconstructor().operator()
-        for r in walk("A", n=3) + walk("B", n=4):
-            list(operator.process(Record(event_time=r.t, value=r)))
-        segments = [out.value for out in operator.on_end()]
-        by_entity = {s.entity_id: len(s) for s in segments}
-        assert by_entity == {"A": 3, "B": 4}
