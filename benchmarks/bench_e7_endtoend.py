@@ -10,6 +10,8 @@ Expected shape: per-record latency stays flat (sub-ms) as the fleet
 grows; compression and event counts scale with traffic.
 """
 
+import statistics
+
 import pytest
 
 from benchmarks.conftest import emit_table
@@ -71,13 +73,18 @@ def test_e7_fleet_scaling(benchmark):
         box.min_lon + box.width * 0.7,
         box.min_lat + box.height * 0.7,
     )
-    nodes, report = pipeline.executor.range_query(query_box, 0.0, 1800.0)
+    # The first read also builds the executor's position column; the
+    # median of five warm repeats is the scan alone.
+    __, first = pipeline.executor.range_query(query_box, 0.0, 1800.0)
+    warm = [pipeline.executor.range_query(query_box, 0.0, 1800.0) for __ in range(5)]
+    nodes, report = warm[-1]
+    scan_s = statistics.median(r.scan_s for __, r in warm)
     emit_table(
         "e7_integrated_query",
         "E7b: spatio-temporal query over the integrated store",
-        ["results", "scanned", "pruning", "scan_ms"],
+        ["results", "scanned", "pruning", "scan_ms", "first_scan_ms"],
         [[len(nodes), report.partitions_scanned, report.pruning_ratio,
-          report.scan_s * 1000.0]],
+          scan_s * 1000.0, first.scan_s * 1000.0]],
     )
 
     benchmark.pedantic(lambda: _run(10), rounds=3, iterations=1)

@@ -1756,7 +1756,7 @@ class MobilityPipeline:
         "grid": "derived from bbox and config by the constructor",
         "transformer": "derived from grid and config by the constructor",
         "weather": "caller-supplied read-only source, rebuilt by the constructor",
-        "executor": "stateless over the store; restore() rebinds it to the restored one",
+        "executor": "holds only the position column, derived from the store's partition logs; restore() builds a new one over the restored store, whose column is rebuilt on its first read",
         "_zone_index": "derived from zones by the constructor",
         "_obs": "derived from metrics; restore() recomputes it",
         "_trace_every": "derived from config and metrics; restore() recomputes it",

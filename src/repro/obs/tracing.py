@@ -25,7 +25,9 @@ class SpanRecord:
         span_id: Unique id within the tracer (creation order).
         parent_id: Enclosing span's id, or ``None`` for a root span.
         name: Dotted operation name (``pipeline.record``, ``query.scan``).
-        start_s: Start time relative to the tracer's epoch, in seconds.
+        start_s: Start time relative to the tracer's epoch, in seconds. The
+            epoch is taken when the tracer is built or unpickled, on the
+            clock of the process that holds it.
         duration_s: Wall time between enter and exit, in seconds.
         records: Records attributed to the span via :meth:`Span.add_records`.
         depth: Nesting depth (0 for roots).
@@ -126,6 +128,23 @@ class Tracer:
         self._next_id = 0
         self._epoch = monotonic()
         self.dropped = 0
+
+    def __getstate__(self) -> dict:
+        # Everything but the epoch: a reading of this process's clock would
+        # make equal tracers pickle differently and hand a restoring
+        # process a start time from another clock.
+        return {
+            "max_spans": self.max_spans,
+            "enabled": self.enabled,
+            "_spans": self._spans,
+            "_stack": self._stack,
+            "_next_id": self._next_id,
+            "dropped": self.dropped,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._epoch = monotonic()
 
     def span(self, name: str, records: int = 0) -> "Span | _NullSpan":
         """Open a span named ``name``; children of the active span nest."""

@@ -16,11 +16,18 @@ dictionary (an unknown constant matches nothing, so nothing is
 scanned), each variable gets a slot in an ``int`` tuple row, and each
 filter is attached to the first pattern that binds its variable — every
 filter reads exactly one variable, so checking it there drops the row
-as early as possible without changing the result. ``ST_WITHIN`` reads
-the node's lon/lat/time object ids and decodes only those literals.
-Terms are decoded once, for the rows that leave the scan. Ids are
-one-to-one with the dictionary's equality classes of terms, so id
-equality is term equality and the id-level join is exact.
+as early as possible without changing the result. Terms are decoded
+once, for the rows that leave the scan. Ids are one-to-one with the
+dictionary's equality classes of terms, so id equality is term equality
+and the id-level join is exact.
+
+Spatio-temporal predicates read the executor's position column
+(:mod:`repro.query.positions`), a float64 ``(lon, lat, t)`` row per node,
+caught up with the partitions' insert logs before each read.
+``ST_WITHIN`` is a membership test in one vector mask over the column.
+``range_query`` runs no join at all: it walks the type pattern's
+matches in join order and keeps the nodes the mask selected, and
+``knn_nodes`` reads its candidates the same way.
 
 Partitions are scanned one after another in the calling process, and
 every phase time in the :class:`ExecutionReport` is measured wall time:
@@ -50,6 +57,7 @@ from repro.query.ast import (
     TriplePattern,
     Variable,
 )
+from repro.query.positions import NO_TIME, NOT_A_NUMBER, NUMBER, PositionColumn
 from repro.query.planner import (
     CardinalityEstimator,
     StatisticsEstimator,
@@ -217,6 +225,7 @@ class QueryExecutor:
         self._estimator: CardinalityEstimator = (
             StatisticsEstimator(store) if use_statistics else default_estimator
         )
+        self._positions = PositionColumn(store, self.metrics)
 
     # -- public API ---------------------------------------------------------
 
@@ -244,9 +253,17 @@ class QueryExecutor:
         return self._execute(query, total_started, monotonic() - total_started)
 
     def _execute(
-        self, query: SelectQuery, total_started: float, parse_s: float | None
+        self,
+        query: SelectQuery,
+        total_started: float,
+        parse_s: float | None,
+        range_scan: bool = False,
     ) -> tuple[list[Bindings], ExecutionReport]:
-        """Evaluate ``query``; ``parse_s`` is None when nothing was parsed."""
+        """Evaluate ``query``; ``parse_s`` is None when nothing was parsed.
+
+        ``range_scan`` marks :meth:`range_query`'s query, which skips the
+        join when the plan walks its type pattern first.
+        """
         report = ExecutionReport(
             partitions_total=self.store.n_partitions, parse_s=parse_s or 0.0
         )
@@ -264,9 +281,12 @@ class QueryExecutor:
             scan_started = monotonic()
             with self.metrics.span("query.scan") as scan_span:
                 if star_var is not None and partitions is not None:
-                    rows = self._execute_partition_local(
-                        query, ordered, partitions, report
+                    local = (
+                        self._execute_range
+                        if range_scan and ordered[0] == query.patterns[0]
+                        else self._execute_partition_local
                     )
+                    rows = local(query, ordered, partitions, report)
                 else:
                     rows = self._execute_global(query, ordered, report)
                 scan_span.add_records(len(rows))
@@ -450,7 +470,7 @@ class QueryExecutor:
             ),
             filters=(STWithinFilter(node_var, bbox, t_from, t_to),),
         )
-        rows, report = self.execute(query)
+        rows, report = self._execute(query, monotonic(), None, range_scan=True)
         return ([row[node_var] for row in rows], report)  # type: ignore[misc]
 
     # -- strategies ---------------------------------------------------------
@@ -462,14 +482,60 @@ class QueryExecutor:
         partitions: list[int],
         report: ExecutionReport,
     ) -> list[Bindings]:
-        report.strategy = "partition-local"
-        report.partitions_scanned = len(partitions)
-        report.pruning_ratio = 1.0 - (len(partitions) / max(1, self.store.n_partitions))
+        self._report_local(partitions, report)
         program = self._compile(ordered, query.filters)
         if program is None:
             return []
         rows = [row for idx in partitions for row in self._scan(program, (idx,))]
         return self._decode(rows, program, query)
+
+    def _report_local(self, partitions: list[int], report: ExecutionReport) -> None:
+        report.strategy = "partition-local"
+        report.partitions_scanned = len(partitions)
+        report.pruning_ratio = 1.0 - (len(partitions) / max(1, self.store.n_partitions))
+
+    def _execute_range(
+        self,
+        query: SelectQuery,
+        ordered: list[TriplePattern],
+        partitions: list[int],
+        report: ExecutionReport,
+    ) -> list[Bindings]:
+        """:meth:`range_query`'s rows without the join, in the join's order.
+
+        The join would walk ``?n a Node`` per partition, keep the nodes
+        that pass ``ST_WITHIN`` and extend each by its time, lon and lat
+        objects: one row per combination, all projecting to ``?n``. A
+        node in the column's mask has one of each, so it is one row; a
+        multi-valued node is read exactly and repeated once per
+        combination.
+        """
+        self._report_local(partitions, report)
+        try_encode = self.store.dictionary.try_encode
+        type_id = try_encode(V.PROP_TYPE)
+        node_class = try_encode(V.CLASS_SEMANTIC_NODE)
+        positions = self._positions
+        predicates = positions.sync(partitions)
+        if type_id is None or node_class is None or min(predicates) < 0:
+            return []
+        flt = query.filters[0]
+        assert isinstance(flt, STWithinFilter)
+        found = set(
+            positions.nodes[
+                positions.select(flt.bbox, flt.t_from, flt.t_to, NOT_A_NUMBER)
+            ].tolist()
+        )
+        nodes: list[int] = []
+        for idx in partitions:
+            partition = self.store.partitions[idx]
+            for node, __p, __o in self.store.match_ids(None, type_id, node_class, (idx,)):
+                if node in found:
+                    nodes.append(node)
+                elif node in positions.multi and self._exact_within(node, flt):
+                    lon_ids, lat_ids, t_ids = (partition.objects(node, p) for p in predicates)
+                    nodes.extend([node] * (len(lon_ids) * len(lat_ids) * len(t_ids)))
+        decode = self.store.dictionary.decode
+        return [{flt.var: decode(node)} for node in nodes]
 
     def _execute_global(
         self,
@@ -600,81 +666,68 @@ class QueryExecutor:
         return self._st_within_test(flt)
 
     def _st_within_test(self, flt: STWithinFilter) -> Callable[[int], bool]:
-        """``ST_WITHIN`` on a node id, from its first lon/lat/time literals.
+        """``ST_WITHIN`` on a node id: is it in the column's mask?
 
         A node that is not an IRI, or lacks a numeric lon or lat, fails;
-        one without a numeric time passes only an unbounded interval.
+        one without a numeric time passes only an unbounded interval. The
+        first test syncs every partition and takes one mask over the
+        whole column.
         """
-        try_encode = self.store.dictionary.try_encode
-        decode = self.store.dictionary.decode
-        value = self._literal_reader()
-        lon_id = try_encode(V.PROP_LON)
-        lat_id = try_encode(V.PROP_LAT)
-        t_id = try_encode(V.PROP_TIMESTAMP)
-        bbox, t_from, t_to = flt.bbox, flt.t_from, flt.t_to
-        any_time = t_from == float("-inf") and t_to == float("inf")
+        positions = self._positions
+        passing: set[int] | None = None
 
         def test(node: int) -> bool:
-            if not isinstance(decode(node), IRI):
-                return False
-            lon = value(node, lon_id)
-            lat = value(node, lat_id)
-            if lon is None or lat is None or not bbox.contains(lon, lat):
-                return False
-            t = value(node, t_id)
-            if t is None:
-                return any_time
-            return t_from <= t <= t_to
+            nonlocal passing
+            if passing is None:
+                positions.sync()
+                rows = positions.select(flt.bbox, flt.t_from, flt.t_to, NO_TIME)
+                passing = set(positions.nodes[rows].tolist())
+            if node in passing:
+                return True
+            return node in positions.multi and self._exact_within(node, flt)
 
         return test
 
-    def _literal_reader(self) -> Callable[[int, int | None], float | None]:
-        """``value(node, prop)``: a node's first literal ``prop`` value, as a float.
-
-        None when the node has no literal for ``prop`` (or ``prop`` is
-        not in the dictionary) or the literal is not numeric; object ids
-        are decoded only up to that first literal.
-        """
-        match_ids = self.store.match_ids
-        decode = self.store.dictionary.decode
-
-        def value(node: int, prop: int | None) -> float | None:
-            if prop is None:
-                return None
-            for __s, __p, o in match_ids(node, prop):
-                term = decode(o)
-                if isinstance(term, Literal):
-                    try:
-                        return float(term.value)
-                    except (TypeError, ValueError):
-                        return None
-            return None
-
-        return value
+    def _exact_within(self, node: int, flt: STWithinFilter) -> bool:
+        """``ST_WITHIN`` from the node's first lon/lat/time literals, read per node."""
+        lon, lat, t = self._positions.exact(node)
+        if lon is None or lat is None or not flt.bbox.contains(lon, lat):
+            return False
+        if t is None:
+            return flt.t_from == float("-inf") and flt.t_to == float("inf")
+        return flt.t_from <= t <= flt.t_to
 
     def _nodes_in_range(
         self, bbox: BBox, t_from: float, t_to: float
     ) -> Iterator[tuple[IRI, float, float, float]]:
-        """Stream (node, lon, lat, t) of position nodes in a space-time box."""
+        """Stream (node, lon, lat, t) of position nodes in a space-time box.
+
+        Nodes come in the order of the type pattern's matches over the
+        pruned partitions; a node needs a numeric lon, lat and time.
+        """
         partitions = self.store.partitions_for_bbox(bbox)
         try_encode = self.store.dictionary.try_encode
         type_id = try_encode(V.PROP_TYPE)
         node_class = try_encode(V.CLASS_SEMANTIC_NODE)
         if type_id is None or node_class is None:
             return
-        lon_id = try_encode(V.PROP_LON)
-        lat_id = try_encode(V.PROP_LAT)
-        t_id = try_encode(V.PROP_TIMESTAMP)
+        positions = self._positions
+        positions.sync(partitions)
+        rows = positions.select(bbox, t_from, t_to, NUMBER)
+        found = dict(
+            zip(
+                positions.nodes[rows].tolist(),
+                zip(positions.lon[rows].tolist(), positions.lat[rows].tolist(), positions.t[rows].tolist()),
+            )
+        )
         decode = self.store.dictionary.decode
-        value = self._literal_reader()
         for node, __p, __o in self.store.match_ids(None, type_id, node_class, partitions):
-            term = decode(node)
-            if not isinstance(term, IRI):
-                continue
-            lon = value(node, lon_id)
-            lat = value(node, lat_id)
-            t = value(node, t_id)
-            if lon is None or lat is None or t is None:
-                continue
-            if bbox.contains(lon, lat) and t_from <= t <= t_to:
-                yield (term, lon, lat, t)
+            values = found.get(node)
+            if values is not None:
+                yield (decode(node), *values)  # type: ignore[misc]
+            elif node in positions.multi:
+                lon, lat, t = positions.exact(node)
+                if lon is None or lat is None or t is None:
+                    continue
+                if bbox.contains(lon, lat) and t_from <= t <= t_to:
+                    yield (decode(node), lon, lat, t)  # type: ignore[misc]

@@ -374,6 +374,10 @@ class ParallelRDFStore:
 
     # -- pruning & statistics --------------------------------------------------
 
+    def partition_of(self, subject_id: int) -> int | None:
+        """The partition holding every triple of a subject (None: it has none)."""
+        return self._subject_partition.get(subject_id)
+
     def partitions_for_bbox(self, bbox: BBox) -> set[int]:
         """Partitions that can hold position documents inside the box.
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 _WILDCARD = None
 
@@ -112,6 +112,19 @@ class TripleStore:
         self._count -= 1
         self._log.extend((~s, p, o))
         return True
+
+    def log_tail(self, start: int) -> array[int]:
+        """A copy of the insert/tombstone log from ``start`` on.
+
+        Entries come in ``(s, p, o)`` threes, a negative ``s`` marking a
+        removal of ``(~s, p, o)``; ``start`` counts ints, so a reader that
+        has consumed ``n`` ints asks for ``log_tail(n)``.
+        """
+        return self._log[start:]
+
+    def objects(self, s: int, p: int) -> Collection[int]:
+        """The objects of ``(s, p)`` in :meth:`match` order (read-only view)."""
+        return self._spo.get(s, {}).get(p, ())
 
     def contains(self, s: int, p: int, o: int) -> bool:
         """Membership test for a fully bound triple."""

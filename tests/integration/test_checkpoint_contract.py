@@ -19,7 +19,10 @@ not passed over as corrupt.
 
 The store's append-only parts (term dictionary, partition logs) encode
 only what they gained since the previous snapshot, yet every payload
-restores the store exactly: same ids, same ``match()`` order.
+restores the store exactly: same ids, same ``match()`` order. The
+executor's position column, derived from those logs, is never in a
+payload: snapshots are the same size whether or not range queries ran,
+and a restored pipeline answers its first range like the original.
 
 Every test runs inside ``determinism_sanitizer()`` (CI runs this file in
 its "Sanitizer differential arm" step as well): checkpointing must not
@@ -33,6 +36,7 @@ import pickle
 import pytest
 
 from repro.analysis.sanitizer import determinism_sanitizer
+from repro.geo.bbox import BBox
 from repro.core.pipeline import (
     _SNAPSHOT_HEADER,
     _SNAPSHOT_MAGIC,
@@ -42,6 +46,7 @@ from repro.core.pipeline import (
     MobilityPipeline,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.query.executor import QueryExecutor
 from repro.sources.generators import MaritimeTrafficGenerator
 from repro.streams.chaos import CrashInjector, InjectedCrash
 from repro.streams.checkpoint import (
@@ -411,3 +416,66 @@ class TestFormatVersion:
             )
         assert reopened.corrupt_skipped == 0
         assert reopened.latest().checkpoint_id == 1
+
+
+class TestPositionColumnIsNotCheckpointed:
+    """The executor's position column is derived read-path state: never pickled."""
+
+    BOX = BBox(23.0, 36.0, 26.0, 39.0)
+
+    def _queried(self, executor, reports):
+        """The reports, with a range query through ``executor`` every 64."""
+        for index, report in enumerate(reports):
+            if index % 64 == 0:
+                executor.range_query(self.BOX)
+            yield report
+
+    def test_snapshot_is_the_same_whether_or_not_ranges_ran(self, sample, reports):
+        plain = _pipeline(sample, metrics=MetricsRegistry(enabled=False))
+        plain.run(reports[:400], batch=BatchOptions(size=64))
+        queried = _pipeline(sample, metrics=MetricsRegistry(enabled=False))
+        queried.run(self._queried(queried.executor, reports[:400]), batch=BatchOptions(size=64))
+        assert queried.executor.range_query(self.BOX)[0]
+        assert len(queried.snapshot()) == len(plain.snapshot())
+        # Only the run's wall time (execution accounting) differs.
+        for name in queried._STATEFUL_COMPONENTS:
+            if name != "_result":
+                assert pickle.dumps(getattr(queried, name)) == pickle.dumps(
+                    getattr(plain, name)
+                ), name
+
+    def test_checkpoint_bytes_are_the_same_whether_or_not_ranges_ran(self, sample, reports):
+        counted = []
+        for query in (False, True):
+            pipeline = _pipeline(sample, metrics=MetricsRegistry(seed=3))
+            # A registry-less executor over the same store: its column is
+            # over the very partitions the checkpoints pickle, and no query
+            # histogram lands in the pickled registry.
+            source = (
+                self._queried(QueryExecutor(pipeline.store), reports) if query else reports
+            )
+            pipeline.run(
+                source,
+                batch=BatchOptions(size=64),
+                checkpoints=CheckpointOptions(store=InMemoryCheckpointStore(), interval=100),
+            )
+            counted.append(pipeline.metrics.counters()["pipeline.checkpoint.bytes"])
+        assert counted[0] == counted[1]
+
+    def test_restored_pipeline_answers_its_first_range_like_the_original(
+        self, sample, reports
+    ):
+        cut = len(reports) // 2
+        origin = _pipeline(sample)
+        origin.run(self._queried(origin.executor, reports[:cut]), batch=BatchOptions(size=64))
+        payload = origin.snapshot()
+        target = _pipeline(sample)
+        target.restore(payload)
+        for __ in range(2):
+            nodes, report = target.executor.range_query(self.BOX, 0.0, 1200.0)
+            expected, expected_report = origin.executor.range_query(self.BOX, 0.0, 1200.0)
+            assert nodes and nodes == expected
+            assert report.deterministic_payload() == expected_report.deterministic_payload()
+            # Both columns catch up with the same further writes.
+            for pipeline in (origin, target):
+                pipeline.run(reports[cut : cut + 128], batch=BatchOptions(size=64))

@@ -1,8 +1,11 @@
 """Hierarchical span tracing: nesting, ordering, bounded buffers."""
 
+import pickle
+
 import pytest
 
 from repro.obs import MetricsRegistry, Tracer
+from repro.obs.clock import monotonic
 
 
 class TestNesting:
@@ -120,3 +123,26 @@ class TestRegistryIntegration:
         with r.span("pipeline.clean"):
             pass
         assert list(r.histogram_names()) == []
+
+
+class TestPickling:
+    """A tracer's epoch is a clock reading: it is not part of its state."""
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_equal_registries_pickle_identically(self, enabled):
+        first = pickle.dumps(MetricsRegistry(enabled=enabled))
+        assert pickle.dumps(MetricsRegistry(enabled=enabled)) == first
+
+    def test_restored_tracer_measures_on_the_restoring_clock(self):
+        tracer = Tracer()
+        with tracer.span("before"):
+            pass
+        # As if written by a process whose clock reads a day ahead.
+        tracer._epoch = monotonic() + 86_400.0
+        restored_at = monotonic()
+        restored = pickle.loads(pickle.dumps(tracer))
+        with restored.span("after"):
+            pass
+        before, after = restored.spans
+        assert before == tracer.spans[0]
+        assert 0.0 <= after.start_s <= monotonic() - restored_at

@@ -1,11 +1,12 @@
 """The Term-level evaluator that the id-level executor is checked against.
 
-``ReferenceExecutor`` is a :class:`QueryExecutor` whose two strategies
-and node scan run the join as it was before execution moved to
-dictionary ids: a nested-loop join over decoded ``Triple``s with
-``dict[Variable, Term]`` bindings, every filter checked on the finished
-row, and ``ST_WITHIN`` re-reading the node's lon/lat/time through
-``store.match``. Planning, pruning and post-processing are the
+``ReferenceExecutor`` is a :class:`QueryExecutor` whose strategies and
+node scan run the join as it was before execution moved to dictionary
+ids and the position column: a nested-loop join over decoded
+``Triple``s with ``dict[Variable, Term]`` bindings, every filter checked
+on the finished row, and ``ST_WITHIN`` re-reading the node's
+lon/lat/time through ``store.match``. ``range_query`` runs that same
+join instead of the executor's column walk. Planning, pruning and post-processing are the
 executor's own. test_id_execution_differential.py requires both to
 return the same rows in the same order and equal report payloads.
 """
@@ -31,6 +32,11 @@ class ReferenceExecutor(QueryExecutor):
         report.partitions_scanned = len(partitions)
         report.pruning_ratio = 1.0 - (len(partitions) / max(1, self.store.n_partitions))
         return [row for idx in partitions for row in self._join(ordered, {}, (idx,)) if self._passes(row, query)]
+
+    def _execute_range(
+        self, query: SelectQuery, ordered: list[TriplePattern], partitions: list[int], report: ExecutionReport
+    ) -> list[Bindings]:
+        return self._execute_partition_local(query, ordered, partitions, report)
 
     def _execute_global(
         self, query: SelectQuery, ordered: list[TriplePattern], report: ExecutionReport
