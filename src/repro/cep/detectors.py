@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.geo.cpa import cpa_tcpa
+from repro.geo.cpa import cpa_may_fire, cpa_tcpa
 from repro.geo.geodesy import haversine_m, haversine_m_arrays
 from repro.geo.polygon import Polygon
 from repro.model.events import ComplexEvent, EventSeverity, SimpleEvent
@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 #: Below this many live candidates the scalar distance loop beats the
 #: numpy round-trip; at or above it, distances are computed in one
 #: vectorised kernel call.
-_VECTOR_MIN_CANDIDATES = 16
+VECTOR_MIN_CANDIDATES = 16
 
 #: Conservative metres per degree of latitude. Great-circle distance is
 #: bounded below by the meridian arc, ``EARTH_RADIUS_M * |Δlat_rad|`` ≈
@@ -36,7 +36,7 @@ _VECTOR_MIN_CANDIDATES = 16
 #: bound strict through floating-point rounding, so a pair rejected on
 #: latitude separation alone is provably outside any radius the exact
 #: haversine would have admitted.
-_METERS_PER_DEG_LAT_FLOOR = 111194.0
+METERS_PER_DEG_LAT_FLOOR = 111194.0
 
 
 def _pair_key(a: str, b: str) -> tuple[str, str]:
@@ -102,6 +102,113 @@ class CollisionRiskDetector:
         """
         self._latest[report.entity_id] = report
 
+    def replay_mask(
+        self, rb: "RecordBatch", active: np.ndarray, own: np.ndarray, latest: np.ndarray
+    ) -> np.ndarray:
+        """Which of ``rb``'s ``active`` rows (aligned with ``active``) may fire.
+
+        ``(own, latest)`` is ``rb.asof_join(active)``: the other entity's
+        position as of a row is its latest earlier active row, or its
+        pre-batch latest-map entry. Replicates the freshness, kinematics
+        and latitude-band prefilters of :meth:`_candidates` exactly, bands
+        the exact-distance cut by 1e-9 relative, and adds the conservative
+        CPA/TCPA pre-check (:func:`~repro.geo.cpa.cpa_may_fire`). A row left
+        unflagged provably raises no event, so :meth:`note_position` is its
+        exact residue.
+        """
+        stale = self.staleness_s
+        rad = self.candidate_radius_m
+        cpa_thr = self.cpa_threshold_m
+        tcpa_thr = self.tcpa_threshold_s
+        vocab = rb.vocabulary
+        tA = rb.t[active]
+        latA = rb.lat[active]
+        lonA = rb.lon[active]
+        spdA = rb.speed[active]
+        hdgA = rb.heading[active]
+        kinA = ~(np.isnan(spdA) | np.isnan(hdgA))
+        # All-None current altitudes force the scalar CPA 2-D and its
+        # fire condition to the maritime branch (see cpa_may_fire).
+        use_cpa = bool(np.isnan(rb.alt).all())
+        may = np.zeros(int(active.size), dtype=bool)
+        # Pre-batch fallback columns per code, from kinematics-bearing
+        # latest entries only; -inf timestamps make the staleness check
+        # unsatisfiable where there is none.
+        prev = [
+            o if o is not None and o.speed is not None and o.heading is not None else None
+            for o in map(self._latest.get, vocab)
+        ]
+        fc_kin = np.array([o is not None for o in prev], dtype=bool)
+        fc_t = np.array([-np.inf if o is None else o.t for o in prev], dtype=float)
+        fc_lat = np.array([0.0 if o is None else o.lat for o in prev], dtype=float)
+        fc_lon = np.array([0.0 if o is None else o.lon for o in prev], dtype=float)
+        fc_spd = np.array([0.0 if o is None else o.speed for o in prev], dtype=float)
+        fc_hdg = np.array([0.0 if o is None else o.heading for o in prev], dtype=float)
+        has2 = latest >= 0
+        T2 = np.where(has2, tA[latest], fc_t[:, None])
+        LAT2 = np.where(has2, latA[latest], fc_lat[:, None])
+        KIN2 = np.where(has2, kinA[latest], fc_kin[:, None])
+        cand = (
+            ~own
+            & kinA[None, :]
+            & KIN2
+            & ((tA[None, :] - T2) <= stale)
+            & (np.abs(latA[None, :] - LAT2) * METERS_PER_DEG_LAT_FLOOR <= rad)
+        )
+        if cand.any():
+            rows, cols = np.nonzero(cand)
+            hs = has2[rows, cols]
+            ss = latest[rows, cols]
+            LON2 = np.where(hs, lonA[ss], fc_lon[rows])
+            LAT2s = LAT2[rows, cols]
+            d = haversine_m_arrays(lonA[cols], latA[cols], LON2, LAT2s)
+            near = d <= rad * (1.0 + 1e-9)
+            if use_cpa and near.any():
+                rows = rows[near]
+                cols = cols[near]
+                hs = hs[near]
+                ss = ss[near]
+                fire = cpa_may_fire(
+                    lonA[cols], latA[cols], spdA[cols], hdgA[cols],
+                    LON2[near], LAT2s[near],
+                    np.where(hs, spdA[ss], fc_spd[rows]),
+                    np.where(hs, hdgA[ss], fc_hdg[rows]),
+                    cpa_thr, tcpa_thr,
+                )
+                may[cols[fire]] = True
+            elif not use_cpa:
+                may[cols[near]] = True
+        # Latest-map entries outside the batch are frozen during it: one
+        # constant column each, skipped when already stale at the batch's
+        # earliest record (same float subtraction as the mask, monotone in
+        # the row's t, so it proves the whole column False).
+        batch_ids = frozenset(vocab)
+        t_first = tA.min()
+        for oid, o in self._latest.items():
+            if (
+                oid in batch_ids
+                or o.speed is None
+                or o.heading is None
+                or t_first - o.t > stale
+            ):
+                continue
+            cand = (
+                kinA
+                & ((tA - o.t) <= stale)
+                & (np.abs(latA - o.lat) * METERS_PER_DEG_LAT_FLOOR <= rad)
+            )
+            if cand.any():
+                d = haversine_m_arrays(lonA, latA, o.lon, o.lat)
+                cand &= d <= rad * (1.0 + 1e-9)
+                if use_cpa and cand.any():
+                    cand &= cpa_may_fire(
+                        lonA, latA, spdA, hdgA,
+                        o.lon, o.lat, o.speed, o.heading,
+                        cpa_thr, tcpa_thr,
+                    )
+                may |= cand
+        return may
+
     def _candidates(self, report: PositionReport) -> list[PositionReport]:
         """Fresh, kinematics-bearing entities within the candidate radius.
 
@@ -118,9 +225,9 @@ class CollisionRiskDetector:
             and report.t - other.t <= self.staleness_s
             and other.speed is not None
             and other.heading is not None
-            and abs(report.lat - other.lat) * _METERS_PER_DEG_LAT_FLOOR <= radius
+            and abs(report.lat - other.lat) * METERS_PER_DEG_LAT_FLOOR <= radius
         ]
-        if len(others) >= _VECTOR_MIN_CANDIDATES:
+        if len(others) >= VECTOR_MIN_CANDIDATES:
             lons = np.fromiter((o.lon for o in others), dtype=np.float64, count=len(others))
             lats = np.fromiter((o.lat for o in others), dtype=np.float64, count=len(others))
             distances = haversine_m_arrays(report.lon, report.lat, lons, lats)
@@ -219,6 +326,12 @@ class RendezvousDetector:
         out.extend(self._mature_pairs(event.t))
         return out
 
+    @property
+    def timing_pairs(self) -> Mapping[tuple[str, str], float]:
+        """Live read-only view of the co-stopped pairs being timed, with the
+        time each began; :meth:`tick` is a no-op while it is empty."""
+        return self._pair_since
+
     def tick(self, now: float) -> list[ComplexEvent]:
         """Time-driven check: emits pairs whose co-stop matured by ``now``.
 
@@ -269,7 +382,7 @@ class LoiteringDetector:
     it is located, and every report until that suffix's head expires from
     the window is skipped without touching the window again — the
     diagonal check would provably reject each of them (the meridian arc
-    ``Δlat · _METERS_PER_DEG_LAT_FLOOR`` is a strict lower bound on the
+    ``Δlat · METERS_PER_DEG_LAT_FLOOR`` is a strict lower bound on the
     haversine diagonal). Bounds, diagonal, duration and travelled
     distance are computed with the same expressions, fold order and
     floats as a naive whole-window rescan, so decisions and event
@@ -326,70 +439,68 @@ class LoiteringDetector:
         event = self._evaluate(eid, tl, lonl, latl, start, t, span)
         return [] if event is None else [event]
 
-    def process_positions(
-        self,
-        entity_id: str,
-        ts: list[float],
-        lons: list[float],
-        lats: list[float],
-    ) -> list[tuple[int, ComplexEvent]]:
-        """Feed one entity's in-order positions; sparse ``(index, event)`` list.
+    def process_recordbatch(
+        self, rb: "RecordBatch", mask: np.ndarray
+    ) -> dict[int, ComplexEvent]:
+        """Feed ``rb``'s records where ``mask`` holds; events keyed by the
+        position whose :meth:`process` call raises them.
 
-        Exact bulk equivalent of one :meth:`process` call per position —
-        same state evolution, bit-identical events — with the per-entity
-        window columns and config gates hoisted out of the per-record
-        path. Events are returned tagged with the index of the position
-        that raised them so a caller interleaving several detectors can
-        reconstruct per-record emission order.
+        Exact bulk equivalent of one :meth:`process` call per masked
+        position — same state evolution, bit-identical events. Window,
+        refractory and block state are all per entity, so each entity
+        segment runs in one go, with its window columns and the config
+        gates hoisted out of the per-record loop.
         """
-        eid = entity_id
-        tl = self._t.get(eid)
-        if tl is None:
-            tl = self._t[eid] = []
-            lonl = self._lon[eid] = []
-            latl = self._lat[eid] = []
-            self._start[eid] = 0
-        else:
-            lonl = self._lon[eid]
-            latl = self._lat[eid]
         dur = self.min_duration_s
         # Same two floats, same product as the scalar gate.
         near = dur * 0.95
         refractory = self.refractory_s
         last_alert = self._last_alert
         block_until = self._block_until
-        start = self._start[eid]
-        t_append = tl.append
-        lon_append = lonl.append
-        lat_append = latl.append
-        out: list[tuple[int, ComplexEvent]] = []
-        for k, t in enumerate(ts):
-            t_append(t)
-            lon_append(lons[k])
-            lat_append(lats[k])
-            while t - tl[start] > dur:
-                start += 1
-            if start >= _LOITER_COMPACT_MIN and start * 2 >= len(tl):
-                del tl[:start]
-                del lonl[:start]
-                del latl[:start]
-                start = 0
-            span = t - tl[start]
-            if span < near:
-                continue
-            # The refractory and block gates are re-checked (and the
-            # block state maintained) inside _evaluate; testing them
-            # here first just skips the call for suppressed records.
-            last = last_alert.get(eid)
-            if last is not None and t - last < refractory:
-                continue
-            block = block_until.get(eid)
-            if block is not None and t <= block:
-                continue
-            event = self._evaluate(eid, tl, lonl, latl, start, t, span)
-            if event is not None:
-                out.append((k, event))
-        self._start[eid] = start
+        out: dict[int, ComplexEvent] = {}
+        for __, eid, pos in rb.segments_where(mask):
+            tl = self._t.get(eid)
+            if tl is None:
+                tl = self._t[eid] = []
+                lonl = self._lon[eid] = []
+                latl = self._lat[eid] = []
+                self._start[eid] = 0
+            else:
+                lonl = self._lon[eid]
+                latl = self._lat[eid]
+            start = self._start[eid]
+            t_append = tl.append
+            lon_append = lonl.append
+            lat_append = latl.append
+            lons = rb.lon[pos].tolist()
+            lats = rb.lat[pos].tolist()
+            for k, t in enumerate(rb.t[pos].tolist()):
+                t_append(t)
+                lon_append(lons[k])
+                lat_append(lats[k])
+                while t - tl[start] > dur:
+                    start += 1
+                if start >= _LOITER_COMPACT_MIN and start * 2 >= len(tl):
+                    del tl[:start]
+                    del lonl[:start]
+                    del latl[:start]
+                    start = 0
+                span = t - tl[start]
+                if span < near:
+                    continue
+                # The refractory and block gates are re-checked (and the
+                # block state maintained) inside _evaluate; testing them
+                # here first just skips the call for suppressed records.
+                last = last_alert.get(eid)
+                if last is not None and t - last < refractory:
+                    continue
+                block = block_until.get(eid)
+                if block is not None and t <= block:
+                    continue
+                event = self._evaluate(eid, tl, lonl, latl, start, t, span)
+                if event is not None:
+                    out[int(pos[k])] = event
+            self._start[eid] = start
         return out
 
     def _evaluate(
@@ -414,7 +525,7 @@ class LoiteringDetector:
         min_lat = min(lat_w)
         max_lat = max(lat_w)
         two_r = 2.0 * self.radius_m
-        if (max_lat - min_lat) * _METERS_PER_DEG_LAT_FLOOR > two_r:
+        if (max_lat - min_lat) * METERS_PER_DEG_LAT_FLOOR > two_r:
             # Moving entity: find the latest-starting suffix whose
             # latitude span alone blows the budget and skip every report
             # until its head leaves the window.
@@ -426,7 +537,7 @@ class LoiteringDetector:
                     run_min = v
                 elif v > run_max:
                     run_max = v
-                if (run_max - run_min) * _METERS_PER_DEG_LAT_FLOOR > two_r:
+                if (run_max - run_min) * METERS_PER_DEG_LAT_FLOOR > two_r:
                     blk = start + k
                     break
             self._block_until[eid] = tl[blk] + self.min_duration_s

@@ -22,23 +22,25 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, overload
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, overload
 
 import numpy as np
 
-from repro.cep.detectors import _VECTOR_MIN_CANDIDATES
+from repro.cep.detectors import METERS_PER_DEG_LAT_FLOOR, VECTOR_MIN_CANDIDATES
 from repro.geo.geodesy import haversine_m, haversine_m_arrays
 from repro.geo.polygon import Polygon
 from repro.geo.zone_index import ZoneIndex
 from repro.model.entities import EntityRegistry
-from repro.model.events import EventKey, EventSeverity, SimpleEvent
+from repro.model.events import EventKey, EventSeverity, SimpleEvent, SimpleEventLog
 from repro.model.reports import PositionReport
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 
-#: Conservative metres per degree of latitude (strict lower bound on
-#: great-circle distance via the meridian arc — see
-#: :data:`repro.cep.detectors._METERS_PER_DEG_LAT_FLOOR`).
-_METERS_PER_DEG_LAT_FLOOR = 111194.0
+if TYPE_CHECKING:
+    from repro.core.recordbatch import RecordBatch
+
+#: Proximity hits of a batch as :meth:`SimpleEventExtractor.proximity_pairs`
+#: returns them: ``(start, subjects, others)``.
+ProximityHits = tuple[list[int], list[PositionReport], list[PositionReport]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,13 +128,15 @@ class SimpleEventExtractor:
     def advance_quiet(self, report: PositionReport) -> None:
         """Record a report that provably raises no event: state catch-up only.
 
-        The columnar pipeline walk calls this for reports its conservative
-        guards cleared — such a report's only effect in :meth:`process`
+        :func:`repro.cep.columnar.detect` calls this for reports
+        :meth:`replay_mask` cleared — such a report's only effect in :meth:`process`
         is updating ``state.last`` and the latest-position map (stop state
         and zone membership are untouched by a non-event report), so this
         is exactly the residue of a full :meth:`process` call.
         """
-        state = self._states.setdefault(report.entity_id, _EntityState())
+        state = self._states.get(report.entity_id)
+        if state is None:
+            state = self._states[report.entity_id] = _EntityState()
         state.last = report
         self._latest[report.entity_id] = report
 
@@ -142,6 +146,202 @@ class SimpleEventExtractor:
         for report in reports:
             out.extend(self.process(report))
         return out
+
+    # -- columnar guards -------------------------------------------------------
+
+    def replay_mask(
+        self, rb: RecordBatch, mask: np.ndarray, inside_cols: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        """The positions of ``rb`` among ``mask`` that must run :meth:`process`.
+
+        Vector replicas of the zone, gap, anomaly and stop checks, per
+        entity segment, seeded from the pre-batch entity state
+        (``inside_cols[i]`` is ``zones[i].contains_batch`` over the batch).
+        A position left unflagged raises none of those events and leaves
+        stop state and zone membership as they are, so once every earlier
+        position has run, :meth:`advance_quiet` is its exact residue.
+        Proximity is decided by :meth:`proximity_pairs` instead.
+        """
+        cfg = self.config
+        gap_th = cfg.gap_threshold_s
+        stop_sp = cfg.stop_speed_mps
+        # Same two config floats, same single multiply as the scalar
+        # Schmitt trigger — the cached product is float-identical.
+        stop_hi = stop_sp * cfg.stop_hysteresis
+        # Anomaly ceiling per entity: the identical `max_speed * factor`
+        # product the scalar check computes, one registry lookup per
+        # entity instead of one per record.
+        ceilings: list[float | None] = [None] * len(rb.vocabulary)
+        if self.registry is not None:
+            for code, eid in enumerate(rb.vocabulary):
+                ent = self.registry.get_or_none(eid)
+                if ent is not None:
+                    ceilings[code] = ent.max_speed_mps * cfg.speed_anomaly_factor
+
+        flagged = np.zeros(len(rb), dtype=bool)
+        for code, eid, pos in rb.segments_where(mask):
+            m = pos.size
+            t_seg = rb.t[pos]
+            spd_seg = rb.speed[pos]
+            st = self._states.get(eid)
+            last = st.last if st is not None else None
+            # Zone guard: membership of each zone evolves only at
+            # containment transitions along the entity's active records
+            # (seeded from pre-batch state.zones), so exactly the
+            # transition records can emit zone events or mutate
+            # state.zones.
+            member = st.zones if st is not None else ()
+            for zone, col in zip(self.zones, inside_cols):
+                vals = col[pos]
+                if bool(vals[0]) != (zone.name in member):
+                    flagged[pos[0]] = True
+                if m > 1:
+                    hits = pos[1:][vals[1:] != vals[:-1]]
+                    if hits.size:
+                        flagged[hits] = True
+            # Gap guard: exact — same float subtraction and compare.
+            flag = np.zeros(m, dtype=bool)
+            if m > 1:
+                flag[1:] = (t_seg[1:] - t_seg[:-1]) > gap_th
+            if last is not None:
+                flag[0] = (t_seg[0] - last.t) > gap_th
+            # Anomaly guard: exact vector replica of the scalar compare
+            # (NaN speeds compare False, like `is None`).
+            ceiling = ceilings[code]
+            if ceiling is not None:
+                flag |= spd_seg > ceiling
+            # Stop guard: mirror the Schmitt trigger exactly. With real
+            # speeds the stop state toggles *only* on records this marks,
+            # so the mirrored state stays in lockstep with the scalar
+            # path. A NaN speed (derived distance/dt speed, unknown here)
+            # is marked whenever a previous report exists and degrades
+            # the mirror to a conservative superset: while the state is
+            # unknown, every record that could toggle either way is
+            # marked.
+            sim = st.stopped if st is not None else False
+            unknown = False
+            stop_idx = []
+            for k, s in enumerate(spd_seg.tolist()):
+                if s != s:
+                    if k > 0 or last is not None:
+                        stop_idx.append(k)
+                        unknown = True
+                    continue
+                if unknown:
+                    if s < stop_sp or s >= stop_hi:
+                        stop_idx.append(k)
+                elif sim:
+                    if s >= stop_hi:
+                        stop_idx.append(k)
+                        sim = False
+                elif s < stop_sp:
+                    stop_idx.append(k)
+                    sim = True
+            if stop_idx:
+                flag[stop_idx] = True
+            flagged[pos[flag]] = True
+        return flagged
+
+    def proximity_pairs(
+        self, rb: RecordBatch, active: np.ndarray, own: np.ndarray, latest: np.ndarray
+    ) -> tuple[ProximityHits, np.ndarray, int]:
+        """The proximity events of ``rb``'s ``active`` rows, as report pairs.
+
+        ``(own, latest)`` is ``rb.asof_join(active)``. One join row per
+        entity that can be a candidate at all, one column per active
+        record. The rows are the latest-position map in insertion order
+        (entries outside the batch are frozen during it: one constant row
+        each, dropped when already stale at the batch's earliest record),
+        then the batch's new entities by first appearance — the order
+        :meth:`_proximity_events` scans in. The candidate mask replicates
+        its freshness and latitude-band prefilters exactly (same floats,
+        same IEEE compares); hits are the scalar kernel's decision
+        (:func:`within_radius`).
+
+        Returns ``((start, subjects, others), vector, band)``: the hits of
+        active record ``i`` are ``start[i]:start[i + 1]`` of the subject
+        and other-entity as-of report lists, in scan order; ``vector``
+        marks records with near candidates whose fresh count reaches
+        ``VECTOR_MIN_CANDIDATES`` — there the scalar path takes distances
+        from the vector kernel, so those records must run :meth:`process`;
+        ``band`` counts the candidates the scalar kernel decided.
+        """
+        cfg = self.config
+        stale = cfg.proximity_staleness_s
+        radius = cfg.proximity_radius_m
+        reports = rb.reports
+        n_active = int(active.size)
+        codes = rb.entity_codes[active]
+        tA = rb.t[active]
+        latA = rb.lat[active]
+        lonA = rb.lon[active]
+
+        # An entity can be in the batch vocabulary with zero *active* rows
+        # (every record masked, e.g. dropped as out-of-order on re-ingest):
+        # its join row is all-fallback, or absent when it has no state.
+        code_of = {eid: c for c, eid in enumerate(rb.vocabulary)}
+        t_first = tA.min()
+        ent_code: list[int] = []
+        ent_last: list[PositionReport | None] = []
+        for oid, o in self._latest.items():
+            c = code_of.pop(oid, -1)
+            # Same float subtraction as the mask below, monotone in the
+            # record's t: stale at the earliest record proves the whole
+            # row False.
+            if c >= 0 or not t_first - o.t > stale:
+                ent_code.append(c)
+                ent_last.append(o)
+        has_row = own.any(axis=1)
+        first_row = own.argmax(axis=1).tolist()
+        for c in sorted(code_of.values(), key=first_row.__getitem__):
+            if has_row[c]:
+                ent_code.append(c)
+                ent_last.append(None)
+        ent_codes = np.array(ent_code, dtype=np.intp)
+        # -inf timestamps make the staleness check unsatisfiable where no
+        # pre-batch state exists.
+        f_t = np.array([-np.inf if o is None else o.t for o in ent_last])
+        f_lat = np.array([0.0 if o is None else o.lat for o in ent_last])
+        f_lon = np.array([0.0 if o is None else o.lon for o in ent_last])
+
+        # Code -1 (outside the batch) picks the appended all -1 row; a -1
+        # source wraps to the last row under fancy indexing — harmless,
+        # np.where discards it.
+        src = np.vstack([latest, np.full((1, n_active), -1)])[ent_codes]
+        has = src >= 0
+        lat2 = np.where(has, latA[src], f_lat[:, None])
+        cand = (
+            (ent_codes[:, None] != codes[None, :])
+            & ((tA[None, :] - np.where(has, tA[src], f_t[:, None])) <= stale)
+            & (np.abs(latA[None, :] - lat2) * METERS_PER_DEG_LAT_FLOOR <= radius)
+        )
+        if not cand.any():
+            return ([0] * (n_active + 1), [], []), np.zeros(n_active, dtype=bool), 0
+        # Transposed: candidates come out by record, then in scan order.
+        recs, ents = np.nonzero(cand.T)
+        ss = src[ents, recs]
+        near, hit, band = within_radius(
+            radius, lonA[recs], latA[recs],
+            np.where(ss >= 0, lonA[ss], f_lon[ents]), lat2[ents, recs],
+        )
+        ss = ss[hit]
+        others = [
+            ent_last[e] if q < 0 else reports[q]
+            for q, e in zip(np.where(ss >= 0, active[ss], -1).tolist(), ents[hit].tolist())
+        ]
+        subjects = list(map(reports.__getitem__, active[recs[hit]].tolist()))
+        start = np.searchsorted(recs[hit], np.arange(n_active + 1)).tolist()
+        n_near = np.bincount(recs[near], minlength=n_active)
+        vector = (n_near > 0) & (cand.sum(axis=0) >= VECTOR_MIN_CANDIDATES)
+        return (start, subjects, others), vector, band
+
+    def log_proximity(
+        self, log: SimpleEventLog, subjects: list[PositionReport], others: list[PositionReport]
+    ) -> None:
+        """Append hits of :meth:`proximity_pairs` to ``log`` as one unbuilt
+        :class:`ProximityRun`, counted as the events :meth:`process` counts."""
+        log.append_run(ProximityRun(subjects, others))
+        self._events_counter.inc(len(subjects))
 
     # -- detectors ------------------------------------------------------------
 
@@ -260,9 +460,9 @@ class SimpleEventExtractor:
             for other_id, other in self._latest.items()
             if other_id != report.entity_id
             and report.t - other.t <= self.config.proximity_staleness_s
-            and abs(report.lat - other.lat) * _METERS_PER_DEG_LAT_FLOOR <= radius
+            and abs(report.lat - other.lat) * METERS_PER_DEG_LAT_FLOOR <= radius
         ]
-        if len(fresh) >= _VECTOR_MIN_CANDIDATES:
+        if len(fresh) >= VECTOR_MIN_CANDIDATES:
             n = len(fresh)
             lons = np.fromiter((o.lon for o in fresh), dtype=np.float64, count=n)
             lats = np.fromiter((o.lat for o in fresh), dtype=np.float64, count=n)
@@ -281,8 +481,8 @@ class SimpleEventExtractor:
         """Proximity events of ``report`` against ``others``, in their order.
 
         Hit decision and ``distance_m`` come from the scalar kernel — the
-        per-record path below ``_VECTOR_MIN_CANDIDATES`` fresh candidates.
-        The columnar pipeline decides the same hits in its pair join and
+        per-record path below ``VECTOR_MIN_CANDIDATES`` fresh candidates.
+        :meth:`proximity_pairs` decides the same hits in its pair join and
         keeps them as a :class:`ProximityRun`, whose rows are built from
         the same floats by the same scalar kernel when they are read.
         """
@@ -315,7 +515,7 @@ class SimpleEventExtractor:
         event_type: str,
         report: PositionReport,
         severity: EventSeverity = EventSeverity.INFO,
-        **attributes,
+        **attributes: Any,
     ) -> SimpleEvent:
         return SimpleEvent(
             event_type=event_type,
@@ -388,7 +588,7 @@ class ProximityRun(Sequence[SimpleEvent]):
     @overload
     def __getitem__(self, index: slice) -> list[SimpleEvent]: ...
 
-    def __getitem__(self, index):
+    def __getitem__(self, index: int | slice) -> SimpleEvent | list[SimpleEvent]:
         if isinstance(index, slice):
             return list(map(_proximity_row, self.subjects[index], self.others[index]))
         return _proximity_row(self.subjects[index], self.others[index])

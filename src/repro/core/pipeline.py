@@ -19,33 +19,31 @@ store/query layer for follow-up analysis.
 from __future__ import annotations
 
 import itertools
-import math
 import pickle
 import random
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
+from repro.cep import columnar
 from repro.cep.detectors import (
-    _VECTOR_MIN_CANDIDATES,
     CapacityDemandDetector,
     CollisionRiskDetector,
     LoiteringDetector,
     RendezvousDetector,
 )
-from repro.cep.simple import (
-    _METERS_PER_DEG_LAT_FLOOR, ProximityRun, SimpleEventExtractor, within_radius,
-)
+from repro.cep.simple import SimpleEventExtractor
 from repro.core.config import PipelineConfig
 from repro.core.recordbatch import RecordBatch
 from repro.core.results import canonical_bytes, digest_of
 from repro.geo.bbox import BBox
-from repro.geo.geodesy import EARTH_RADIUS_M, haversine_m_arrays
 from repro.geo.grid import GeoGrid
 from repro.geo.polygon import Polygon
 from repro.geo.zone_index import PREFILTER_MIN_ZONES, ZoneIndex
 from repro.hashing import stable_hash
+from repro.insitu.critical import AnnotatedReport
 from repro.insitu.filters import DeduplicateFilter, PlausibilityFilter
 from repro.insitu.synopses import SynopsesGenerator
 from repro.model.entities import EntityRegistry
@@ -57,10 +55,11 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_SPAN
 from repro.query.executor import QueryExecutor
 from repro.rdf.emitter import CompiledReportEmitter
+from repro.rdf.terms import IRI, BlankNode
 from repro.rdf.transform import RdfTransformer
 from repro.store.parallel import ParallelRDFStore
 from repro.sources.weather import WeatherGridSource
-from repro.store.partition import GridPartitioner, HashPartitioner, HilbertPartitioner
+from repro.store.partition import GridPartitioner, HashPartitioner, HilbertPartitioner, Partitioner
 from repro.streams.chaos import (
     ChaosConfig,
     DeadLetter,
@@ -89,56 +88,6 @@ _COLUMNAR_MIN_BATCH = 16
 SNAPSHOT_FORMAT = 3
 _SNAPSHOT_MAGIC = b"RPSNAP"
 _SNAPSHOT_HEADER = _SNAPSHOT_MAGIC + SNAPSHOT_FORMAT.to_bytes(2, "big")
-
-_DEG2RAD = math.pi / 180.0
-
-
-def _cpa_may_fire(
-    lon1, lat1, spd1, hdg1,
-    lon2, lat2, spd2, hdg2,
-    cpa_threshold_m: float,
-    tcpa_threshold_s: float,
-) -> np.ndarray:
-    """Conservative vectorized pre-check of the 2-D CPA/TCPA thresholds.
-
-    Mirrors :func:`repro.geo.cpa.cpa_tcpa` (midpoint tangent plane, same
-    3600 s horizon clamp) with margins that dominate the vector-vs-scalar
-    float spread, so ``False`` proves the exact scalar check cannot fire:
-
-    - CPA distance banded by 1 m. The clamped vertex is the constrained
-      minimum of the separation parabola, and the vectorized separation
-      differs from the scalar one by well under a millimetre at these
-      scales, so a scalar CPA under the threshold keeps the vector CPA
-      under ``threshold + 1``.
-    - TCPA banded by 1 s — valid only while ``dv2`` is not tiny (the
-      vertex position is ``ε/dv2``-conditioned), so pairs with relative
-      speed under ~3 cm/s skip the TCPA cut entirely: their separation
-      barely changes over the horizon and the distance band already
-      decides them (this also covers the scalar ``dv2 < 1e-12``
-      constant-separation branch, which reports TCPA 0).
-
-    Only valid when every current-record altitude is ``None``: that forces
-    the scalar computation 2-D and its fire condition to the maritime
-    branch for any other/seed altitude.
-    """
-    k = _DEG2RAD * EARTH_RADIUS_M
-    dx = (lon1 - lon2) * k * np.cos(np.radians((lat1 + lat2) / 2.0))
-    dy = (lat1 - lat2) * k
-    th1 = np.radians(hdg1)
-    th2 = np.radians(hdg2)
-    dvx = spd1 * np.sin(th1) - spd2 * np.sin(th2)
-    dvy = spd1 * np.cos(th1) - spd2 * np.cos(th2)
-    dv2 = dvx * dvx + dvy * dvy
-    tcpa = -(dx * dvx + dy * dvy) / np.where(dv2 > 0.0, dv2, 1.0)
-    tcpa = np.clip(tcpa, 0.0, 3600.0)
-    tcpa = np.where(dv2 < 1e-12, 0.0, tcpa)
-    cx = dx + dvx * tcpa
-    cy = dy + dvy * tcpa
-    lim = cpa_threshold_m + 1.0
-    return (cx * cx + cy * cy <= lim * lim) & (
-        (tcpa <= tcpa_threshold_s + 1.0) | (dv2 < 1e-3)
-    )
-
 
 @dataclass(frozen=True, slots=True)
 class BatchOptions:
@@ -567,7 +516,7 @@ class MobilityPipeline:
             return None
         return emitter
 
-    def _build_partitioner(self):
+    def _build_partitioner(self) -> Partitioner:
         n = self.config.n_partitions
         if self.config.partitioner == "hash":
             return HashPartitioner(n)
@@ -703,9 +652,9 @@ class MobilityPipeline:
         prove most records can take no branch that emits an event or
         mutates non-trivial state; only the flagged remainder replays
         through the unchanged scalar components, after lazily syncing
-        the per-entity state those components read. Loitering and
-        capacity demand run columnar outright, their events keyed by
-        the position raising them.
+        the per-entity state those components read. The detection half
+        is :func:`repro.cep.columnar.detect`, over guards the components
+        own.
 
         Observability: stage samples land on the same histograms, except
         that simple-event extraction and detection run as one fused walk
@@ -759,32 +708,25 @@ class MobilityPipeline:
                     t_prev = self._close_stage("rdf", t_prev, stored)
 
             # -- simple events + detectors: one guarded walk -----------------
-            # Which records *must* run a scalar component is decided
-            # entirely up front with vectorized exact-or-conservative
-            # guards: `ex_int` (simple-event extraction) and `coll_int`
-            # (collision pair checks). Proximity is the exception: the
-            # pair join decides the hits itself, and the walk logs those
-            # of records raising nothing else as runs, unbuilt. Loitering
-            # and capacity events arrive keyed by position. Everything
-            # else provably emits nothing and only advances per-entity
-            # latest state, applied lazily by the walk.
-            ex_int, loit_map = self._segment_guards(rb, mask, inside_cols)
-            prox, prox_vec, prox_band, coll_may = self._pair_guards(rb, active)
-            ex_int[active] |= prox_vec
-            coll_int = np.zeros(n, dtype=bool)
-            coll_int[active] = coll_may
+            out, replays = columnar.detect(
+                rb, mask, inside_cols,
+                extractor=self._extractor, collision=self._collision,
+                loitering=self._loitering, rendezvous=self._rendezvous,
+                capacity=self._capacity, hotspots=self._hotspots,
+                simple_events=result.simple_events,
+            )
             if obs:
                 counter = self.metrics.counter
                 counter("pipeline.columnar.records").inc(n_active)
-                counter("pipeline.replay.extractor").inc(int(ex_int.sum()))
-                counter("pipeline.replay.collision").inc(int(coll_may.sum()))
-                counter("pipeline.replay.proximity_vector_kernel").inc(int(prox_vec.sum()))
-                counter("pipeline.replay.proximity_band").inc(prox_band)
-            cap = self._capacity
-            cap_map = None if cap is None else cap.process_recordbatch(rb, active, inside_cols)
-            out = self._guarded_walk(
-                rb, active_l, ex_int.tolist(), coll_int.tolist(), loit_map, cap_map, prox
-            )
+                for name, count in replays.items():
+                    counter(f"pipeline.replay.{name}").inc(count)
+                if out:
+                    counter("cep.complex_events").inc(len(out))
+            result.complex_events.extend(out)
+            if out and self.config.persist_rdf:
+                event_docs = [self.transformer.event_to_triples(event) for event in out]
+                result.triples_stored += sum(map(len, event_docs))
+                self.store.add_documents(event_docs)
 
         if obs:
             t_now = self._close_stage("detectors", t_prev, n_active)
@@ -872,473 +814,7 @@ class MobilityPipeline:
                 self.store.add_documents(docs)
         return stage_n
 
-    def _segment_guards(
-        self, rb: RecordBatch, mask: np.ndarray, inside_cols: list
-    ) -> tuple[np.ndarray, dict[int, ComplexEvent]]:
-        """Per-segment guards: the positions that must replay through the
-        scalar extractor, and loitering events by the position raising them."""
-        ex = self._extractor
-        ex_states = ex._states
-        cfg = ex.config
-        gap_th = cfg.gap_threshold_s
-        stop_sp = cfg.stop_speed_mps
-        # Same two config floats, same single multiply as the scalar
-        # Schmitt trigger — the cached product is float-identical.
-        stop_hi = stop_sp * cfg.stop_hysteresis
-        loit = self._loitering
-        zones = self.zones
-        n_zones = len(zones)
-        vocab = rb.vocabulary
-
-        # Anomaly ceiling per entity: the identical `max_speed *
-        # factor` product the scalar check computes, one registry
-        # lookup per entity instead of one per record.
-        if ex.registry is not None:
-            factor = cfg.speed_anomaly_factor
-            ceilings: list[float | None] = []
-            for eid in vocab:
-                ent = ex.registry.get_or_none(eid)
-                ceilings.append(None if ent is None else ent.max_speed_mps * factor)
-        else:
-            ceilings = [None] * len(vocab)
-
-        ex_int = np.zeros(len(rb), dtype=bool)
-        # Loitering is strictly per-entity (window, refractory and
-        # block state are all keyed by entity), so it runs bulk per
-        # segment here; events come back tagged with the position
-        # that raised them and are re-interleaved by the walk below
-        # in exact per-record order.
-        loit_map: dict[int, ComplexEvent] = {}
-
-        # Zone entry/exit + gap + stop + anomaly guards, per segment.
-        for code, eid, seg in rb.segments():
-            pos = seg[mask[seg]]
-            m = pos.size
-            if m == 0:
-                continue
-            t_seg = rb.t[pos]
-            spd_seg = rb.speed[pos]
-            loit_hits = loit.process_positions(
-                eid, t_seg.tolist(), rb.lon[pos].tolist(), rb.lat[pos].tolist()
-            )
-            if loit_hits:
-                pos_l = pos.tolist()
-                for k, levent in loit_hits:
-                    loit_map[pos_l[k]] = levent
-            st = ex_states.get(eid)
-            has_prev = st is not None and st.last is not None
-            # Zone guard: membership of each zone evolves only at
-            # containment transitions along the entity's active
-            # records (seeded from pre-batch state.zones), so exactly
-            # the transition records can emit zone events or mutate
-            # state.zones.
-            if n_zones:
-                member = st.zones if st is not None else ()
-                for zi in range(n_zones):
-                    vals = inside_cols[zi][pos]
-                    if bool(vals[0]) != (zones[zi].name in member):
-                        ex_int[pos[0]] = True
-                    if m > 1:
-                        hits = pos[1:][vals[1:] != vals[:-1]]
-                        if hits.size:
-                            ex_int[hits] = True
-            # Gap guard: exact — same float subtraction and compare.
-            flag = np.zeros(m, dtype=bool)
-            if m > 1:
-                flag[1:] = (t_seg[1:] - t_seg[:-1]) > gap_th
-            if has_prev:
-                flag[0] = (t_seg[0] - st.last.t) > gap_th
-            # Anomaly guard: exact vector replica of the scalar
-            # compare (NaN speeds compare False, like `is None`).
-            ceiling = ceilings[code]
-            if ceiling is not None:
-                flag |= spd_seg > ceiling
-            # Stop guard: mirror the Schmitt trigger exactly. With
-            # real speeds the stop state toggles *only* on records
-            # this marks, so the mirrored state stays in lockstep
-            # with the scalar path. A NaN speed (derived distance/dt
-            # speed, unknown here) is marked whenever a previous
-            # report exists and degrades the mirror to a
-            # conservative superset: while the state is unknown,
-            # every record that could toggle either way is marked.
-            sim = st.stopped if st is not None else False
-            unknown = False
-            stop_idx = []
-            for k, s in enumerate(spd_seg.tolist()):
-                if s != s:
-                    if k > 0 or has_prev:
-                        stop_idx.append(k)
-                        unknown = True
-                    continue
-                if unknown:
-                    if s < stop_sp or s >= stop_hi:
-                        stop_idx.append(k)
-                elif sim:
-                    if s >= stop_hi:
-                        stop_idx.append(k)
-                        sim = False
-                elif s < stop_sp:
-                    stop_idx.append(k)
-                    sim = True
-            if stop_idx:
-                flag[stop_idx] = True
-            ex_int[pos[flag]] = True
-        return ex_int, loit_map
-
-    def _pair_guards(
-        self, rb: RecordBatch, active: np.ndarray
-    ) -> tuple[tuple[list[int], list, list], np.ndarray, int, np.ndarray]:
-        """One as-of pair join over the active records.
-
-        For each record and each other entity, the other's position "as
-        of" that record is its latest earlier active record in the batch,
-        or its pre-batch latest-map entry. ``src2[c, i]`` is the latest
-        active row of vocabulary code ``c`` at or before row ``i`` (-1
-        when none); a row's own code resolves to itself and is masked
-        wherever the join is consumed, so ``src2`` always points at a
-        *strictly earlier* row.
-
-        Returns the proximity side (:meth:`_proximity_pairs`) and the
-        mask, aligned with ``active``, of rows that may fire the
-        collision detector.
-        """
-        n_active = int(active.size)
-        if n_active == 0:
-            none = np.zeros(0, dtype=bool)
-            return ([0], [], []), none, 0, none
-        codes = rb.entity_codes[active]
-        eye = codes[None, :] == np.arange(len(rb.vocabulary))[:, None]
-        src2 = np.maximum.accumulate(
-            np.where(eye, np.arange(n_active)[None, :], -1), axis=1
-        )
-        prox, prox_vec, prox_band = self._proximity_pairs(rb, active, eye, src2)
-        return prox, prox_vec, prox_band, self._collision_guard(rb, active, eye, src2)
-
-    def _proximity_pairs(
-        self, rb: RecordBatch, active: np.ndarray, eye: np.ndarray, src2: np.ndarray
-    ) -> tuple[tuple[list[int], list, list], np.ndarray, int]:
-        """The proximity side of the pair join, as events-to-be.
-
-        One join row per entity that can be a candidate at all, one
-        column per active record. The rows are the extractor's latest map
-        in insertion order (entries outside the batch are frozen during
-        it: one constant row each, dropped when already stale at the
-        batch's earliest record), then the batch's new entities by first
-        appearance — the order ``_proximity_events`` scans in. The
-        candidate mask replicates its freshness and latitude-band
-        prefilters exactly (same floats, same IEEE compares); hits are the
-        scalar kernel's decision (:func:`repro.cep.simple.within_radius`).
-
-        Returns ``((start, subjects, others), vector, band)``: the hits of
-        active record ``i`` are ``start[i]:start[i + 1]`` of the subject
-        and other-entity as-of report lists, in scan order; ``vector``
-        marks records with near candidates whose fresh count reaches
-        ``_VECTOR_MIN_CANDIDATES`` — there the scalar path takes distances
-        from the vector kernel, so those records must replay through it;
-        ``band`` counts the candidates the scalar kernel decided.
-        """
-        cfg = self._extractor.config
-        stale = cfg.proximity_staleness_s
-        radius = cfg.proximity_radius_m
-        reports = rb.reports
-        n_active = int(active.size)
-        codes = rb.entity_codes[active]
-        tA = rb.t[active]
-        latA = rb.lat[active]
-        lonA = rb.lon[active]
-
-        # An entity can be in the batch vocabulary with zero *active* rows
-        # (every record masked, e.g. dropped as out-of-order on re-ingest):
-        # its join row is all-fallback, or absent when it has no state.
-        code_of = {eid: c for c, eid in enumerate(rb.vocabulary)}
-        t_first = tA.min()
-        ent_code: list[int] = []
-        ent_last: list[PositionReport | None] = []
-        for oid, o in self._extractor._latest.items():
-            c = code_of.pop(oid, -1)
-            # Same float subtraction as the mask below, monotone in the
-            # record's t: stale at the earliest record proves the whole
-            # row False.
-            if c >= 0 or not t_first - o.t > stale:
-                ent_code.append(c)
-                ent_last.append(o)
-        has_row = eye.any(axis=1)
-        first_row = eye.argmax(axis=1).tolist()
-        for c in sorted(code_of.values(), key=first_row.__getitem__):
-            if has_row[c]:
-                ent_code.append(c)
-                ent_last.append(None)
-        ent_codes = np.array(ent_code, dtype=np.intp)
-        # -inf timestamps make the staleness check unsatisfiable where no
-        # pre-batch state exists.
-        f_t = np.array([-np.inf if o is None else o.t for o in ent_last])
-        f_lat = np.array([0.0 if o is None else o.lat for o in ent_last])
-        f_lon = np.array([0.0 if o is None else o.lon for o in ent_last])
-
-        # Code -1 (outside the batch) picks the appended all -1 row; a -1
-        # source wraps to the last row under fancy indexing — harmless,
-        # np.where discards it.
-        src = np.vstack([src2, np.full((1, n_active), -1)])[ent_codes]
-        has = src >= 0
-        lat2 = np.where(has, latA[src], f_lat[:, None])
-        cand = (
-            (ent_codes[:, None] != codes[None, :])
-            & ((tA[None, :] - np.where(has, tA[src], f_t[:, None])) <= stale)
-            & (np.abs(latA[None, :] - lat2) * _METERS_PER_DEG_LAT_FLOOR <= radius)
-        )
-        if not cand.any():
-            return ([0] * (n_active + 1), [], []), np.zeros(n_active, dtype=bool), 0
-        # Transposed: candidates come out by record, then in scan order.
-        recs, ents = np.nonzero(cand.T)
-        ss = src[ents, recs]
-        near, hit, band = within_radius(
-            radius, lonA[recs], latA[recs],
-            np.where(ss >= 0, lonA[ss], f_lon[ents]), lat2[ents, recs],
-        )
-        ss = ss[hit]
-        others = [
-            ent_last[e] if q < 0 else reports[q]
-            for q, e in zip(np.where(ss >= 0, active[ss], -1).tolist(), ents[hit].tolist())
-        ]
-        subjects = list(map(reports.__getitem__, active[recs[hit]].tolist()))
-        start = np.searchsorted(recs[hit], np.arange(n_active + 1)).tolist()
-        n_near = np.bincount(recs[near], minlength=n_active)
-        vector = (n_near > 0) & (cand.sum(axis=0) >= _VECTOR_MIN_CANDIDATES)
-        return (start, subjects, others), vector, band
-
-    def _collision_guard(
-        self, rb: RecordBatch, active: np.ndarray, eye: np.ndarray, src2: np.ndarray
-    ) -> np.ndarray:
-        """The collision side of the pair join: the mask, aligned with
-        ``active``, of rows that may fire the collision detector.
-
-        Replicates the freshness, kinematics and latitude-band prefilters
-        of ``CollisionRiskDetector._candidates`` exactly, bands the
-        exact-distance cut by 1e-9 relative, and adds the conservative
-        vectorized CPA/TCPA pre-check (:func:`_cpa_may_fire`). A row left
-        unmasked provably raises no collision event.
-        """
-        coll = self._collision
-        coll_latest = coll._latest
-        coll_stale = coll.staleness_s
-        coll_rad = coll.candidate_radius_m
-        cpa_thr = coll.cpa_threshold_m
-        tcpa_thr = coll.tcpa_threshold_s
-        vocab = rb.vocabulary
-        n_codes = len(vocab)
-        tA = rb.t[active]
-        latA = rb.lat[active]
-        lonA = rb.lon[active]
-        spdA = rb.speed[active]
-        hdgA = rb.heading[active]
-        kinA = ~(np.isnan(spdA) | np.isnan(hdgA))
-        # All-None current altitudes force the scalar CPA 2-D and its
-        # fire condition to the maritime branch (see _cpa_may_fire).
-        use_cpa = bool(np.isnan(rb.alt).all())
-        coll_may = np.zeros(int(active.size), dtype=bool)
-        # Pre-batch fallback columns per code; -inf timestamps make the
-        # staleness check unsatisfiable where no state exists.
-        fc_t = np.full(n_codes, -np.inf)
-        fc_lat = np.zeros(n_codes)
-        fc_lon = np.zeros(n_codes)
-        fc_spd = np.zeros(n_codes)
-        fc_hdg = np.zeros(n_codes)
-        fc_kin = np.zeros(n_codes, dtype=bool)
-        for c2, eid2 in enumerate(vocab):
-            oc = coll_latest.get(eid2)
-            if oc is not None and oc.speed is not None and oc.heading is not None:
-                fc_t[c2] = oc.t
-                fc_lat[c2] = oc.lat
-                fc_lon[c2] = oc.lon
-                fc_spd[c2] = oc.speed
-                fc_hdg[c2] = oc.heading
-                fc_kin[c2] = True
-        has2 = src2 >= 0
-        T2 = np.where(has2, tA[src2], fc_t[:, None])
-        LAT2 = np.where(has2, latA[src2], fc_lat[:, None])
-        KIN2 = np.where(has2, kinA[src2], fc_kin[:, None])
-        cand = (
-            ~eye
-            & kinA[None, :]
-            & KIN2
-            & ((tA[None, :] - T2) <= coll_stale)
-            & (np.abs(latA[None, :] - LAT2) * _METERS_PER_DEG_LAT_FLOOR <= coll_rad)
-        )
-        if cand.any():
-            rows, cols = np.nonzero(cand)
-            hs = has2[rows, cols]
-            ss = src2[rows, cols]
-            LON2 = np.where(hs, lonA[ss], fc_lon[rows])
-            LAT2s = LAT2[rows, cols]
-            d = haversine_m_arrays(lonA[cols], latA[cols], LON2, LAT2s)
-            near = d <= coll_rad * (1.0 + 1e-9)
-            if use_cpa and near.any():
-                rows = rows[near]
-                cols = cols[near]
-                hs = hs[near]
-                ss = ss[near]
-                fire = _cpa_may_fire(
-                    lonA[cols], latA[cols], spdA[cols], hdgA[cols],
-                    LON2[near], LAT2s[near],
-                    np.where(hs, spdA[ss], fc_spd[rows]),
-                    np.where(hs, hdgA[ss], fc_hdg[rows]),
-                    cpa_thr, tcpa_thr,
-                )
-                coll_may[cols[fire]] = True
-            elif not use_cpa:
-                coll_may[cols[near]] = True
-        # Latest-map entries outside the batch are frozen during it: one
-        # constant column each, skipped when already stale at the batch's
-        # earliest record (same float subtraction as the mask, monotone in
-        # the row's t, so it proves the whole column False).
-        batch_ids = frozenset(vocab)
-        t_first = tA.min()
-        for oid, o in coll_latest.items():
-            if (
-                oid in batch_ids
-                or o.speed is None
-                or o.heading is None
-                or t_first - o.t > coll_stale
-            ):
-                continue
-            cand = (
-                kinA
-                & ((tA - o.t) <= coll_stale)
-                & (np.abs(latA - o.lat) * _METERS_PER_DEG_LAT_FLOOR <= coll_rad)
-            )
-            if cand.any():
-                d = haversine_m_arrays(lonA, latA, o.lon, o.lat)
-                cand &= d <= coll_rad * (1.0 + 1e-9)
-                if use_cpa and cand.any():
-                    cand &= _cpa_may_fire(
-                        lonA, latA, spdA, hdgA,
-                        o.lon, o.lat, o.speed, o.heading,
-                        cpa_thr, tcpa_thr,
-                    )
-                coll_may |= cand
-        return coll_may
-
-    def _guarded_walk(
-        self, rb: RecordBatch, active_l: list[int], ex_l: list[bool],
-        coll_l: list[bool], loit_map: dict[int, ComplexEvent],
-        cap_map: dict[int, list[ComplexEvent]] | None, prox: tuple[list[int], list, list],
-    ) -> list[ComplexEvent]:
-        """Fused simple-event + detector walk over the active records:
-        guard-flagged ones call the scalar extractor / collision detector,
-        the proximity hits between them are logged unbuilt as one
-        :class:`ProximityRun`, per-entity state advances lazily, and the
-        columnar loitering / capacity events are interleaved by position."""
-        result = self._result
-        obs = self._obs
-        reports = rb.reports
-        ex = self._extractor
-        ex_states = ex._states
-        ex_latest = ex._latest
-        coll = self._collision
-        coll_latest = coll._latest
-        rdv = self._rendezvous
-        rdv_pairs = rdv._pair_since
-        hot = self._hotspots
-        persist = self.config.persist_rdf
-        codes_l = rb.entity_codes.tolist()
-        t_l = rb.t.tolist()
-
-        out: list[ComplexEvent] = []
-        event_docs: list[list] = []
-        # Latest unsynced record per code. Flushed (in first-
-        # appearance order, preserving dict insertion order of new
-        # entities) before every scalar component call and at batch
-        # end; a flush is the exact state residue of the scalar call
-        # for a no-event record, and re-flushing after a scalar call
-        # is idempotent.
-        pending: dict[int, int] = {}
-
-        def _flush_pending() -> None:
-            for c2, p2 in pending.items():
-                r2 = reports[p2]
-                eid2 = r2.entity_id
-                st2 = ex_states.get(eid2)
-                if st2 is None:
-                    ex.advance_quiet(r2)
-                else:
-                    st2.last = r2
-                    ex_latest[eid2] = r2
-                coll_latest[eid2] = r2
-            pending.clear()
-
-        # Proximity hits read no extractor state and are no-ops for the
-        # rendezvous detector: a record not replayed just joins the run
-        # from `run_lo` (no flush, no `events`); a replayed one closes it.
-        prox_start, prox_subj, prox_other = prox
-        run_lo = 0
-
-        def _append_run(lo: int, hi: int) -> None:
-            result.simple_events.append_run(ProximityRun(prox_subj[lo:hi], prox_other[lo:hi]))
-            ex._events_counter.inc(hi - lo)
-
-        loit_get = loit_map.get
-        rdv_process = rdv.process
-        rdv_tick = rdv.tick
-        for i, p in enumerate(active_l):
-            r = reports[p]
-            if ex_l[p]:
-                if pending:
-                    _flush_pending()
-                _append_run(run_lo, prox_start[i])
-                run_lo = prox_start[i + 1]
-                events = ex.process(r)
-                result.simple_events.extend(events)
-            else:
-                events = ()
-            if coll_l[p]:
-                if pending:
-                    _flush_pending()
-                cev = coll.process(r)
-            else:
-                cev = ()
-            pending[codes_l[p]] = p
-
-            # --- remaining detectors, in _run_detectors order -------
-            new_complex = list(cev) if cev else None
-            lev = loit_get(p)
-            if lev is not None:
-                new_complex = (new_complex or []) + [lev]
-            if events:
-                if new_complex is None:
-                    new_complex = []
-                for event in events:
-                    new_complex.extend(rdv_process(event))
-                new_complex.extend(rdv_tick(t_l[p]))
-            elif rdv_pairs:
-                # tick() with no co-stopped pairs is a pure no-op.
-                ticked = rdv_tick(t_l[p])
-                if ticked:
-                    new_complex = (new_complex or []) + ticked
-            if cap_map and p in cap_map:
-                new_complex = (new_complex or []) + cap_map[p]
-            if hot is not None:
-                new_complex = (new_complex or []) + hot.process(r)
-            if new_complex:
-                if obs:
-                    # Created lazily, exactly like _run_detectors: a
-                    # run with no complex events never registers it.
-                    self.metrics.counter("cep.complex_events").inc(len(new_complex))
-                for event in new_complex:
-                    result.complex_events.append(event)
-                    if persist:
-                        triples = self.transformer.event_to_triples(event)
-                        event_docs.append(triples)
-                        result.triples_stored += len(triples)
-                out.extend(new_complex)
-
-        _append_run(run_lo, prox_start[-1])
-        if pending:
-            _flush_pending()
-        if event_docs:
-            self.store.add_documents(event_docs)
-        return out
-
-    def _span(self, name: str, records: int = 0):
+    def _span(self, name: str, records: int = 0) -> AbstractContextManager[Any]:
         """A child span when the current record is being traced, else a no-op."""
         if self._trace_this_record:
             return self.metrics.span(name, records=records)
@@ -1404,11 +880,7 @@ class MobilityPipeline:
         # next stage's start, so timing all five stages costs one clock
         # read per stage (inter-stage bookkeeping is charged to the
         # following stage).
-        if obs:
-            pc = monotonic
-            buf = self._lat_buf
-            wall = self._stage_wall
-            t_prev = t_start
+        t_prev = t_start
 
         with self._span("pipeline.clean", records=1):
             ok = self._stage_call(
@@ -1417,13 +889,9 @@ class MobilityPipeline:
                 lambda: self._dedup.accept(report) and self._plausibility.accept(report),
             )
         if obs:
-            t_now = pc()
-            buf["clean"].append(t_now - t_prev)
-            wall["clean"] += t_now - t_prev
-            t_prev = t_now
+            t_prev = self._close_stage("clean", t_prev, 1)
         if not ok:
-            if obs:
-                self._record_end = t_now
+            self._record_end = t_prev
             return []
         result.reports_clean += 1
 
@@ -1432,39 +900,21 @@ class MobilityPipeline:
                 "synopses", report, lambda: self._synopses.process(report)
             )
         if obs:
-            t_now = pc()
-            buf["synopses"].append(t_now - t_prev)
-            wall["synopses"] += t_now - t_prev
-            t_prev = t_now
+            t_prev = self._close_stage("synopses", t_prev, 1)
 
         if keep:
             result.reports_kept += 1
-            if self.config.persist_rdf:
-                with self._span("pipeline.rdf", records=1):
-                    result.triples_stored += self._stage_call(
-                        "rdf",
-                        report,
-                        lambda: self._store_report_doc(
-                            annotated, report, interlink=self.config.interlink
-                        ),
-                    )
-                if obs:
-                    t_now = pc()
-                    buf["rdf"].append(t_now - t_prev)
-                    wall["rdf"] += t_now - t_prev
-                    t_prev = t_now
-        elif self.config.persist_rdf and self.config.persist_raw_reports:
+        if self.config.persist_rdf and (keep or self.config.persist_raw_reports):
+            # A kept report lands annotated and interlinked, a dropped one raw.
+            item, interlink = (annotated, self.config.interlink) if keep else (report, False)
             with self._span("pipeline.rdf", records=1):
                 result.triples_stored += self._stage_call(
                     "rdf",
                     report,
-                    lambda: self._store_report_doc(report, report, interlink=False),
+                    lambda: self._store_report_doc(item, report, interlink=interlink),
                 )
             if obs:
-                t_now = pc()
-                buf["rdf"].append(t_now - t_prev)
-                wall["rdf"] += t_now - t_prev
-                t_prev = t_now
+                t_prev = self._close_stage("rdf", t_prev, 1)
 
         with self._span("pipeline.events", records=1):
             simple_events = self._stage_call(
@@ -1472,20 +922,14 @@ class MobilityPipeline:
             )
         result.simple_events.extend(simple_events)
         if obs:
-            t_now = pc()
-            buf["events"].append(t_now - t_prev)
-            wall["events"] += t_now - t_prev
-            t_prev = t_now
+            t_prev = self._close_stage("events", t_prev, 1)
 
         with self._span("pipeline.detectors", records=1):
             new_complex = self._stage_call(
                 "detectors", report, lambda: self._run_detectors(report, simple_events)
             )
         if obs:
-            t_now = pc()
-            buf["detectors"].append(t_now - t_prev)
-            wall["detectors"] += t_now - t_prev
-            self._record_end = t_now
+            self._record_end = self._close_stage("detectors", t_prev, 1)
 
         for event in new_complex:
             result.complex_events.append(event)
@@ -1494,12 +938,12 @@ class MobilityPipeline:
                 self.store.add_document(triples)
                 result.triples_stored += len(triples)
         if new_complex and obs:
-            self._record_end = pc()
+            self._record_end = monotonic()
 
         return new_complex
 
     def _store_report_doc(
-        self, item, report: PositionReport, interlink: bool
+        self, item: PositionReport | AnnotatedReport, report: PositionReport, interlink: bool
     ) -> int:
         """Persist one report document; returns the triple count added."""
         triples = self.transformer.report_to_triples(item)
@@ -1534,7 +978,7 @@ class MobilityPipeline:
     def _interlink(
         self,
         report: PositionReport,
-        node,
+        node: IRI | BlankNode,
         doc_sink: list | None = None,
         containing: "Sequence[Polygon] | None" = None,
     ) -> list:

@@ -136,6 +136,29 @@ class RecordBatch:
         for code, entity_id in enumerate(self.vocabulary):
             yield (code, entity_id, self.order[b[code] : b[code + 1]])
 
+    def segments_where(self, mask: np.ndarray) -> Iterator[tuple[int, str, np.ndarray]]:
+        """:meth:`segments` cut to the positions ``mask`` keeps; empty ones skipped."""
+        kept = self.order[mask[self.order]]
+        b = np.searchsorted(self.entity_codes[kept], np.arange(len(self.vocabulary) + 1)).tolist()
+        for code, entity_id in enumerate(self.vocabulary):
+            if b[code] < b[code + 1]:
+                yield code, entity_id, kept[b[code] : b[code + 1]]
+
+    def asof_join(self, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each entity's latest row as of each row in ``active`` (ascending).
+
+        Returns ``(own, latest)``, both ``(n_entities, active.size)``:
+        ``own[c, i]`` holds when row ``i`` is entity ``c``'s, and
+        ``latest[c, i]`` is the index into ``active`` of entity ``c``'s
+        latest row at or before row ``i`` (-1 when none). A row's own
+        entity resolves to the row itself, so wherever ``own`` is masked
+        out, ``latest`` points at a *strictly earlier* row.
+        """
+        codes = self.entity_codes[active]
+        own = codes[None, :] == np.arange(len(self.vocabulary))[:, None]
+        rows = np.arange(int(active.size))
+        return own, np.maximum.accumulate(np.where(own, rows[None, :], -1), axis=1)
+
     def slice(self, start: int, stop: int | None = None) -> "RecordBatch":
         """A new batch over ``reports[start:stop]`` with a shifted offset."""
         rs = self.reports[start:stop]

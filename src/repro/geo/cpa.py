@@ -10,7 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.geo.geodesy import enu_offset_m
+import numpy as np
+
+from repro.geo.geodesy import EARTH_RADIUS_M, enu_offset_m
+
+_DEG2RAD = math.pi / 180.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,4 +110,52 @@ def cpa_tcpa(
         current_distance_m=current,
         horizontal_m=math.hypot(cx, cy),
         vertical_m=abs(cz) if use_3d else None,
+    )
+
+
+def cpa_may_fire(
+    lon1: np.ndarray, lat1: np.ndarray, spd1: np.ndarray, hdg1: np.ndarray,
+    lon2: np.ndarray | float, lat2: np.ndarray | float,
+    spd2: np.ndarray | float, hdg2: np.ndarray | float,
+    cpa_threshold_m: float,
+    tcpa_threshold_s: float,
+) -> np.ndarray:
+    """Conservative vectorized pre-check of the 2-D CPA/TCPA thresholds.
+
+    Mirrors :func:`cpa_tcpa` (midpoint tangent plane, same 3600 s horizon
+    clamp) with margins that dominate the vector-vs-scalar float spread,
+    so ``False`` proves the exact scalar check cannot fire:
+
+    - CPA distance banded by 1 m. The clamped vertex is the constrained
+      minimum of the separation parabola, and the vectorized separation
+      differs from the scalar one by well under a millimetre at these
+      scales, so a scalar CPA under the threshold keeps the vector CPA
+      under ``threshold + 1``.
+    - TCPA banded by 1 s — valid only while ``dv2`` is not tiny (the
+      vertex position is ``ε/dv2``-conditioned), so pairs with relative
+      speed under ~3 cm/s skip the TCPA cut entirely: their separation
+      barely changes over the horizon and the distance band already
+      decides them (this also covers the scalar ``dv2 < 1e-12``
+      constant-separation branch, which reports TCPA 0).
+
+    Only valid when every current-record altitude is ``None``: that forces
+    the scalar computation 2-D and its fire condition to the maritime
+    branch for any other/seed altitude.
+    """
+    k = _DEG2RAD * EARTH_RADIUS_M
+    dx = (lon1 - lon2) * k * np.cos(np.radians((lat1 + lat2) / 2.0))
+    dy = (lat1 - lat2) * k
+    th1 = np.radians(hdg1)
+    th2 = np.radians(hdg2)
+    dvx = spd1 * np.sin(th1) - spd2 * np.sin(th2)
+    dvy = spd1 * np.cos(th1) - spd2 * np.cos(th2)
+    dv2 = dvx * dvx + dvy * dvy
+    tcpa = -(dx * dvx + dy * dvy) / np.where(dv2 > 0.0, dv2, 1.0)
+    tcpa = np.clip(tcpa, 0.0, 3600.0)
+    tcpa = np.where(dv2 < 1e-12, 0.0, tcpa)
+    cx = dx + dvx * tcpa
+    cy = dy + dvy * tcpa
+    lim = cpa_threshold_m + 1.0
+    return (cx * cx + cy * cy <= lim * lim) & (
+        (tcpa <= tcpa_threshold_s + 1.0) | (dv2 < 1e-3)
     )

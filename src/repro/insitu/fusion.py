@@ -44,7 +44,9 @@ def merge_streams(
     Each input must be individually ordered by event time; the output is
     globally ordered. Ties break deterministically by (entity, source).
     """
-    def keyed(stream_idx: int, stream: Iterable[PositionReport]):
+    def keyed(
+        stream_idx: int, stream: Iterable[PositionReport]
+    ) -> Iterator[tuple[float, str, str, int, int, PositionReport]]:
         for seq, report in enumerate(stream):
             yield (report.t, report.entity_id, report.source.value, stream_idx, seq, report)
 

@@ -231,10 +231,8 @@ class SynopsesGenerator:
         out: list[tuple[AnnotatedReport | None, bool] | None] = [None] * len(reports)
         nseen = 0
 
-        for _code, eid, seg in rb.segments():
-            pos = seg[active_mask[seg]].tolist()
-            if not pos:
-                continue
+        for _code, eid, seg in rb.segments_where(active_mask):
+            pos = seg.tolist()
             st = states.get(eid)
             if st is None or st.last is None:
                 last_t = None

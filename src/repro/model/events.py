@@ -130,7 +130,7 @@ class SimpleEventLog(Sequence[SimpleEvent]):
     @overload
     def __getitem__(self, index: slice) -> list[SimpleEvent]: ...
 
-    def __getitem__(self, index):
+    def __getitem__(self, index: int | slice) -> SimpleEvent | list[SimpleEvent]:
         if isinstance(index, slice):
             start, stop, step = index.indices(self._len)
             if step != 1:

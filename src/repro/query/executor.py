@@ -126,8 +126,9 @@ class ExecutionReport:
         scan_s: Wall time of the partition scans, run one after another.
         postprocess_s: Order/distinct/limit/projection time.
         total_s: Wall time of the whole execute call (including parse).
-        metrics: Snapshot of the executor's observability registry
-            (cumulative across queries; ``{}`` without a registry).
+        metrics: Always ``{}``; read the executor's registry itself (a
+            per-query copy of every histogram's percentiles cost more
+            than the query).
     """
 
     n_results: int = 0
@@ -322,7 +323,7 @@ class QueryExecutor:
         return (projected, report)
 
     def _record_query_metrics(self, report: ExecutionReport, parsed: bool) -> None:
-        """Land phase latencies on the registry and snapshot it."""
+        """Land phase latencies on the registry."""
         if not self.metrics.enabled:
             return
         if parsed:
@@ -333,7 +334,6 @@ class QueryExecutor:
         self.metrics.histogram("query.total").record(report.total_s)
         self.metrics.counter("query.executed").inc()
         self.metrics.counter("query.results").inc(report.n_results)
-        report.metrics = self.metrics.as_dict()
 
     @staticmethod
     def _apply_order(rows: list[Bindings], order: Any) -> list[Bindings]:

@@ -53,6 +53,10 @@ def test_typed_core_covers_the_digest_feeders():
         "src/repro/sources",
         "src/repro/store",
         "src/repro/query",
+        "src/repro/core",
+        "src/repro/cep",
+        "src/repro/insitu",
+        "src/repro/model",
     } <= entries
 
 

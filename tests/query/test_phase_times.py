@@ -125,14 +125,13 @@ class TestExecutorInstrumentation:
     def test_query_histograms_and_spans(self):
         metrics = MetricsRegistry(seed=3)
         executor = build_executor(metrics=metrics)
-        _, report = executor.execute(node_query())
+        executor.execute(node_query())
         names = set(metrics.histogram_names())
         assert {"query.plan", "query.scan", "query.postprocess", "query.total"} <= names
         assert metrics.counters()["query.executed"] == 1
         span_names = [s.name for s in metrics.spans]
         assert "query.execute" in span_names
         assert "query.scan" in span_names
-        assert report.metrics["counters"]["query.executed"] == 1
 
     def test_execute_text_records_parse_histogram(self):
         metrics = MetricsRegistry(seed=3)
