@@ -73,8 +73,9 @@ def test_e7_fleet_scaling(benchmark):
         box.min_lon + box.width * 0.7,
         box.min_lat + box.height * 0.7,
     )
-    # The first read also builds the executor's position column; the
-    # median of five warm repeats is the scan alone.
+    # The first read also builds the store's indexes from its log and
+    # the executor's position column; the median of five warm repeats
+    # is the scan alone.
     __, first = pipeline.executor.range_query(query_box, 0.0, 1800.0)
     warm = [pipeline.executor.range_query(query_box, 0.0, 1800.0) for __ in range(5)]
     nodes, report = warm[-1]

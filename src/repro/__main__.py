@@ -15,6 +15,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - imported lazily at run time
+    from repro.core.pipeline import MobilityPipeline, PipelineResult
+    from repro.sources.generators import TrafficSample
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,7 +49,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_pipeline(vessels: int, seed: int, hours: float = 2.0):
+def _make_pipeline(
+    vessels: int, seed: int, hours: float = 2.0
+) -> "tuple[TrafficSample, MobilityPipeline, PipelineResult]":
     from repro.core.pipeline import MobilityPipeline
     from repro.sources.generators import MaritimeTrafficGenerator
 
@@ -60,7 +67,7 @@ def _make_pipeline(vessels: int, seed: int, hours: float = 2.0):
     return (sample, pipeline, result)
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args: argparse.Namespace) -> int:
     """Run the end-to-end pipeline demo; prints headline numbers."""
     sample, pipeline, result = _make_pipeline(args.vessels, args.seed, args.hours)
     print(f"vessels            : {sample.n_entities}")
@@ -75,7 +82,7 @@ def cmd_demo(args) -> int:
     return 0
 
 
-def cmd_query(args) -> int:
+def cmd_query(args: argparse.Namespace) -> int:
     """Parse and execute a textual query; prints rows and the plan report."""
     from repro.query.parser import QueryParseError, parse_query
 
@@ -97,7 +104,7 @@ def cmd_query(args) -> int:
     return 0
 
 
-def cmd_scenarios(__args) -> int:
+def cmd_scenarios(__args: argparse.Namespace) -> int:
     """Run the scripted threat scenarios and print the scorecard."""
     from repro.cep.detectors import (
         CollisionRiskDetector,
@@ -156,7 +163,7 @@ def cmd_scenarios(__args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     """Generate and save an HTML situation report."""
     from repro.viz.report import HtmlReport
     from repro.viz.svg import SvgMap

@@ -54,7 +54,7 @@ class HtmlReport:
         self._events: list[ComplexEvent | SimpleEvent] = []
         self._extra: list[str] = []
 
-    def add_stat(self, label: str, value) -> None:
+    def add_stat(self, label: str, value: object) -> None:
         """One headline statistic (shown in the stats strip)."""
         if isinstance(value, float):
             rendered = f"{value:,.3f}" if abs(value) < 100 else f"{value:,.0f}"
@@ -122,7 +122,7 @@ class HtmlReport:
         )
 
     @staticmethod
-    def _fmt(cell) -> str:
+    def _fmt(cell: object) -> str:
         if isinstance(cell, float):
             return f"{cell:.3f}"
         return str(cell)
@@ -178,5 +178,5 @@ class HtmlReport:
             handle.write(self.render())
 
     @staticmethod
-    def _event_time(event) -> float:
+    def _event_time(event: ComplexEvent | SimpleEvent) -> float:
         return event.t if isinstance(event, SimpleEvent) else event.t_end

@@ -6,9 +6,10 @@ insert/remove log. These tests pin both halves of that contract:
 
 - **incremental**: a pickling with nothing new seals nothing; N new terms
   seal exactly one chunk holding exactly those N;
-- **faithful**: unpickling replays the log through the same insert/remove
-  code, so every index comes back with the same iteration order — every
-  ``match()`` shape yields the same sequence — removals included;
+- **faithful**: the first read after unpickling applies the log through
+  the same insert/remove code, so every index comes back with the same
+  iteration order — every ``match()`` shape yields the same sequence —
+  removals included;
 - **complete**: ``add_triples`` logs what it inserts even when handed a
   one-shot generator.
 
@@ -83,6 +84,13 @@ class TestTripleStoreLog:
         assert len(restored) == 0
         assert list(restored.match()) == []
 
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_every_protocol_round_trips(self, protocol):
+        for original in (TripleStore(), _churned_store(0, n=40)):
+            restored = pickle.loads(pickle.dumps(original, protocol=protocol))
+            assert_same_match_order(restored, original)
+            assert restored.log_tail(0) == original.log_tail(0)
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_replay_gives_the_same_match_order(self, seed):
         original = _churned_store(seed)
@@ -123,7 +131,8 @@ class TestTripleStoreLog:
     def test_generator_is_inserted_and_logged(self):
         triples = [(1, 10, 100), (1, 10, 101), (2, 11, 100), (1, 10, 100)]
         store = TripleStore()
-        assert store.add_triples(t for t in triples) == 3
+        store.add_triples(t for t in triples)
+        assert len(store) == 3
         assert sorted(store.match()) == sorted(set(triples))
         assert list(store._log) == [x for t in triples for x in t]
         assert_same_match_order(_roundtrip(store), store)
